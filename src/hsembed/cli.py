@@ -65,7 +65,10 @@ def build_parser() -> _Parser:
         out.add_argument("--json", action="store_true", default=True, dest="as_json")
         out.add_argument("--human", action="store_false", dest="as_json")
         p.add_argument("--out", metavar="FILE", help="also write the full query record")
-        p.add_argument("--threads", type=int, default=1, help="search parallelism (default 1)")
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; the search runs sequentially",
+        )
 
     p = sub.add_parser("decide", help="decide an embedding query with evidence")
     p.add_argument("--n", type=int, required=True, help="complex dimension")

@@ -20,20 +20,20 @@ evidence: a YES always carries a construction witness, a NO always carries
 a certificate that an independent checker can replay.
 
 Budget discipline: the unit of cost is one logical homomorphism
-feasibility query (deduplicated queries still count).  Per-cell accounting
-plus in-order aggregation makes the outcome of a search a pure function of
-the inputs and the budget, independent of thread count.
+feasibility query (a query asked before still counts).  The search runs
+sequentially, so its outcome is a pure function of the inputs and the
+budget; the ``threads`` argument is validated and accepted for
+compatibility only.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
-from .lattice import IntMatrix, hom_exists
+from .lattice import HomFeasibility, IntMatrix, hom_exists
 from .model import NO, UNKNOWN, YES, DegreeTuple, Verdict, homology_reduce
 from .order import MoveSequence, leqq
 
@@ -347,23 +347,24 @@ def _cell_outcome(
     l: int,
     q: int,
     y_partitions: Sequence[Tuple[Tuple[int, ...], ...]],
-    memo: Dict[tuple, Optional[IntMatrix]],
+    y_class: Dict[Tuple[int, ...], Tuple[int, ...]],
+    feasibility: HomFeasibility,
     call_cap: int,
     deadline: Optional[float],
 ) -> Tuple[str, int, Optional[FeasibilityWitness]]:
     """Exhaust one (l, q) cell.
 
     Returns (status, calls, witness) with status one of "FEASIBLE", "DONE",
-    "ABORT".  The call count at any point is a pure function of (cell,
-    call_cap) — memo hits still count — which is what makes multi-threaded
-    runs verdict-identical to sequential ones.
+    "ABORT".  Every assignment tried is one call, whether or not the same
+    class pairs were asked before, so the call count at any point is a pure
+    function of (cell, call_cap).  ``y_class`` maps every vector of
+    ``y_partitions`` to its homology class coordinates.
     """
-    k, kp = len(d), len(dp)
     calls = 0
     scaled = tuple(q * e for e in d)
     if sum(scaled) < l:  # cannot split q*d into l nonzero parts
         return "DONE", 0, None
-    for xs in enumerate_vector_partitions(scaled, l, min(n, k)):
+    for xs in enumerate_vector_partitions(scaled, l, min(n, len(d))):
         if deadline is not None and time.monotonic() > deadline:
             return "ABORT", calls, None
         x_groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
@@ -374,34 +375,33 @@ def _cell_outcome(
         for ys in y_partitions:
             if deadline is not None and time.monotonic() > deadline:
                 return "ABORT", calls, None
-            y_classes: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+            h_counts: Dict[Tuple[int, ...], int] = {}
             for y in ys:
-                y_classes.setdefault(homology_reduce(y, dp).coordinates, []).append(y)
-            h_keys = sorted(y_classes)
-            h_sizes = [len(y_classes[key]) for key in h_keys]
+                key = y_class[y]
+                h_counts[key] = h_counts.get(key, 0) + 1
+            h_keys = sorted(h_counts)
+            h_sizes = [h_counts[key] for key in h_keys]
             for f in _assignments(g_sizes, h_sizes):
                 calls += 1
                 if calls > call_cap:
                     return "ABORT", calls, None
-                pairs_key = tuple(
-                    sorted((g_keys[g], h_keys[f[g]]) for g in range(len(g_keys)))
-                )
-                if pairs_key in memo:
-                    mat = memo[pairs_key]
-                else:
-                    rep_pairs = [
-                        (x_groups[g_keys[g]][0], y_classes[h_keys[f[g]]][0])
-                        for g in range(len(g_keys))
-                    ]
-                    mat = hom_exists(d, dp, rep_pairs)
-                    memo[pairs_key] = mat
-                if mat is None:
+                if not feasibility.exists(
+                    [(g_keys[g], h_keys[f[g]]) for g in range(len(g_keys))]
+                ):
                     continue
-                consumed = {key: list(y_classes[key]) for key in h_keys}
+                y_classes: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+                for y in ys:
+                    y_classes.setdefault(y_class[y], []).append(y)
+                rep_pairs = [
+                    (x_groups[g_keys[g]][0], y_classes[h_keys[f[g]]][0])
+                    for g in range(len(g_keys))
+                ]
+                mat = hom_exists(d, dp, rep_pairs)
+                assert mat is not None
                 ys_aligned = []
                 for x in xs:
                     g = g_keys.index(homology_reduce(x, d).coordinates)
-                    ys_aligned.append(consumed[h_keys[f[g]]].pop(0))
+                    ys_aligned.append(y_classes[h_keys[f[g]]].pop(0))
                 witness = FeasibilityWitness(
                     n, d, dp, l, q, tuple(xs), tuple(ys_aligned), mat
                 )
@@ -425,6 +425,9 @@ def witness_search(
     otherwise.  In the boundary case sum(d) = n + 1 the q-range is
     unbounded, so no finite exploration can prove infeasibility and the
     fallback is always BUDGET_EXCEEDED.
+
+    The search runs sequentially; ``threads`` must be a positive integer
+    and is accepted for compatibility, but does not change how it runs.
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
@@ -457,45 +460,31 @@ def witness_search(
         return SearchOutcome(INFEASIBLE, None, {**bounds, "exhausted": True}, 0)
 
     deadline = time.monotonic() + budget.time_cap if budget.time_cap else None
-    memo: Dict[tuple, Optional[IntMatrix]] = {}
+    feasibility = HomFeasibility(d, dp)
+    y_class: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     y_cache: Dict[int, List[Tuple[Tuple[int, ...], ...]]] = {}
 
     def y_partitions(l: int) -> List[Tuple[Tuple[int, ...], ...]]:
         if l not in y_cache:
             y_cache[l] = list(enumerate_vector_partitions(tuple(dp), l, len(dp)))
+            for ys in y_cache[l]:
+                for y in ys:
+                    if y not in y_class:
+                        y_class[y] = homology_reduce(y, dp).coordinates
         return y_cache[l]
 
-    def run_cell(cell: Tuple[int, int]) -> Tuple[str, int, Optional[FeasibilityWitness]]:
-        l, q = cell
-        return _cell_outcome(
-            n, d, dp, l, q, y_partitions(l), memo, budget.call_cap, deadline
-        )
-
     cum = 0
-    if threads == 1:
-        results: Iterator = map(run_cell, cells)
-        for status, calls, witness in results:
-            cum += calls
-            bounds["calls_used"] = cum
-            if status == "FEASIBLE" and cum <= budget.call_cap:
-                return SearchOutcome(FEASIBLE, witness, bounds, cum)
-            if status == "ABORT" or cum > budget.call_cap:
-                return SearchOutcome(BUDGET_EXCEEDED, None, bounds, cum)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_cell, cell) for cell in cells]
-            for fut in futures:
-                status, calls, witness = fut.result()
-                cum += calls
-                bounds["calls_used"] = cum
-                if status == "FEASIBLE" and cum <= budget.call_cap:
-                    for other in futures:
-                        other.cancel()
-                    return SearchOutcome(FEASIBLE, witness, bounds, cum)
-                if status == "ABORT" or cum > budget.call_cap:
-                    for other in futures:
-                        other.cancel()
-                    return SearchOutcome(BUDGET_EXCEEDED, None, bounds, cum)
+    for l, q in cells:
+        status, calls, witness = _cell_outcome(
+            n, d, dp, l, q, y_partitions(l), y_class, feasibility,
+            budget.call_cap, deadline,
+        )
+        cum += calls
+        bounds["calls_used"] = cum
+        if status == "FEASIBLE" and cum <= budget.call_cap:
+            return SearchOutcome(FEASIBLE, witness, bounds, cum)
+        if status == "ABORT" or cum > budget.call_cap:
+            return SearchOutcome(BUDGET_EXCEEDED, None, bounds, cum)
     if finite:
         bounds["exhausted"] = True
         return SearchOutcome(INFEASIBLE, None, bounds, cum)

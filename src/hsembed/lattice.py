@@ -6,6 +6,12 @@ homology layer (deciding whether a prescribed map of first-homology groups
 exists, which is a single linear Diophantine system) and the certificate
 checkers, which need the explicit unimodular transforms.
 
+The witness search asks the homology question many times for one pair of
+degree tuples, so :class:`HomFeasibility` factors the fixed parts of the
+system once and answers each query with a matrix-vector product and a
+divisibility check; :func:`hom_exists` solves the full system and is only
+needed to build the matrix of a witness.
+
 Smith normal form is computed by classical gcd-driven row/column
 elimination with a minimal-|entry| pivot rule, which keeps intermediate
 entries small at the scales this package sees and, more importantly, makes
@@ -15,8 +21,9 @@ certificates are byte-stable across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .model import DegreeTuple, LengthMismatch
 
@@ -257,7 +264,9 @@ def hom_exists(
         sum_c M[r][c] * x_i[c] - s_i * d'[r] = y_i[r]   for each i, r
 
     Returns the matrix M of a solution (deterministic, via the Smith normal
-    form route) or None when the system has no integer solution.
+    form route) or None when the system has no integer solution.  The
+    witness search decides feasibility with :class:`HomFeasibility` and
+    calls this only to build the matrix of the one feasible witness.
     """
     d = DegreeTuple(degrees)
     dp = DegreeTuple(target_degrees)
@@ -295,3 +304,77 @@ def hom_exists(
         return None
     x0, _ = sol
     return IntMatrix([x0[r * k : (r + 1) * k] for r in range(kp)])
+
+
+class HomFeasibility:
+    """Many :func:`hom_exists` feasibility queries for one pair of degree
+    tuples, each answered without a new Smith normal form.
+
+    Choose W unimodular with W d' = (g', 0, ..., 0) and write N = W M.  The
+    system of :func:`hom_exists` then splits into independent rows of N.
+    With A = [d; x_1; ...; x_L] and b_r = (0, (W y_1)_r, ..., (W y_L)_r),
+    row r >= 1 must solve A n = b_r exactly and row 0 must solve it modulo
+    g'.  If U A V = D is a Smith normal form, A n = b is solvable iff every
+    (U b)_i is divisible by D_ii (and is zero where D_ii = 0), and
+    A n = b mod g' is solvable iff every (U b)_i is divisible by
+    gcd(D_ii, g') (Kannan and Bachem 1979; Cohen, A Course in Computational
+    Algebraic Number Theory, section 2.4).
+
+    W is computed once; (U, D) once per distinct tuple of source vectors and
+    W y once per distinct target vector, so a repeated query costs a small
+    matrix-vector product and the divisibility checks.  Vectors must be
+    tuples of ints, because they are cache keys.
+    """
+
+    def __init__(self, degrees: Sequence[int], target_degrees: Sequence[int]) -> None:
+        self.degrees = DegreeTuple(degrees)
+        self.target_degrees = DegreeTuple(target_degrees)
+        snf = smith_normal_form(IntMatrix([[e] for e in self.target_degrees]))
+        self._w = snf.u
+        self._g = snf.d.data[0][0]
+        self._images: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        # source tuple -> [(row of U without its first column, D_ii, gcd(D_ii, g'))]
+        self._checks: Dict[tuple, List[Tuple[Tuple[int, ...], int, int]]] = {}
+
+    def exists(self, pairs: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]]) -> bool:
+        """Whether ``hom_exists(degrees, target_degrees, pairs)`` finds a matrix."""
+        sources = tuple(x for x, _ in pairs)
+        checks = self._checks.get(sources)
+        if checks is None:
+            checks = self._checks[sources] = self._factor(sources)
+        images = self._images
+        columns = []
+        for _, y in pairs:
+            image = images.get(y)
+            if image is None:
+                image = images[y] = self._image(y)
+            columns.append(image)
+        for r, b in enumerate(zip(*columns)):
+            for row, exact, modular in checks:
+                c = sum(a * e for a, e in zip(row, b))
+                m = exact if r else modular
+                if (c % m if m else c) != 0:
+                    return False
+        return True
+
+    def _factor(self, sources: tuple) -> List[Tuple[Tuple[int, ...], int, int]]:
+        k = len(self.degrees)
+        for x in sources:
+            if len(x) != k:
+                raise LengthMismatch(f"source vector length {len(x)} != {k}")
+        snf = smith_normal_form(IntMatrix([self.degrees, *sources]))
+        diag = snf.diagonal()
+        checks = []
+        for i, row in enumerate(snf.u.data):
+            exact = diag[i] if i < len(diag) else 0
+            # b_0 = 0, so the first column of U never contributes; a unit
+            # D_ii divides everything and needs no check.
+            if exact != 1 and any(row[1:]):
+                checks.append((row[1:], exact, math.gcd(exact, self._g)))
+        return checks
+
+    def _image(self, y: Tuple[int, ...]) -> Tuple[int, ...]:
+        kp = len(self.target_degrees)
+        if len(y) != kp:
+            raise LengthMismatch(f"target vector length {len(y)} != {kp}")
+        return self._w.vecmul(y)

@@ -52,6 +52,8 @@ class DegreeTuple(tuple):
     __slots__ = ()
 
     def __new__(cls, entries: Iterable[int]) -> "DegreeTuple":
+        if type(entries) is DegreeTuple:
+            return entries  # validated and sorted when it was built
         items = tuple(entries)
         if not items:
             raise EmptyInput("degree tuple must contain at least one entry")

@@ -25,6 +25,8 @@ from hsembed import (
     check_feasibility_witness,
     decide,
     enumerate_vector_partitions,
+    hom_exists,
+    homology_reduce,
     leqq,
     quick_checks,
     replay_certificate,
@@ -163,6 +165,30 @@ class TestWitnessSearch:
         out = witness_search(2, (3,), (4, 2), Budget(q_cap=4, call_cap=10))
         assert out.status == "BUDGET_EXCEEDED"
         assert out.calls_used <= 10 + 1  # at most one cell past the cap
+
+    @pytest.mark.parametrize(
+        "n, src, dst, budget, status, calls",
+        [
+            (2, (3, 3), (5, 5), None, "INFEASIBLE", 122),
+            (2, (3, 1), (2, 2, 2), None, "INFEASIBLE", 768),
+            (3, (4, 4), (9, 8), Budget(call_cap=2000), "BUDGET_EXCEEDED", 2001),
+        ],
+    )
+    def test_pinned_call_counts(self, n, src, dst, budget, status, calls):
+        # every assignment tried is one call, repeated class pairs included
+        out = witness_search(n, src, dst, budget)
+        assert (out.status, out.calls_used) == (status, calls)
+
+    def test_feasible_witness_matrix_from_hom_exists(self):
+        out = witness_search(2, (2, 2), (4, 3))
+        assert (out.status, out.calls_used) == ("FEASIBLE", 1)
+        w = out.witness
+        # one representative pair per source class, in sorted class order
+        reps = {}
+        for x, y in zip(w.xs, w.ys):
+            reps.setdefault(homology_reduce(x, w.source).coordinates, (x, y))
+        pairs = [reps[key] for key in sorted(reps)]
+        assert w.matrix == hom_exists(w.source, w.target, pairs)
 
     def test_thread_count_does_not_change_outcome(self):
         cases = [

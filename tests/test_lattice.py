@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsembed import (
+    DegreeTuple,
     DimensionMismatch,
     IntMatrix,
     LengthMismatch,
@@ -15,6 +16,7 @@ from hsembed import (
     smith_normal_form,
     solve_diophantine,
 )
+from hsembed.lattice import HomFeasibility
 
 from oracles import det_bareiss, rational_solve, solve_system_boxed
 
@@ -201,3 +203,76 @@ class TestHomExists:
             assert len(ratios) == 1
             t0 = ratios.pop()
             assert all(a == t0 * t for a, t in zip(diff, target))
+
+
+def hom_system(degrees, target, pairs):
+    """The linear system whose integer solutions are the matrices M with
+    M d = t d' and M x_i - y_i = s_i d'; unknowns are M row-major, t, s_i."""
+    d, dp = DegreeTuple(degrees), DegreeTuple(target)
+    k, kp, npairs = len(d), len(dp), len(pairs)
+    ncols = kp * k + 1 + npairs
+    rows, rhs = [], []
+    for r in range(kp):
+        row = [0] * ncols
+        row[r * k : (r + 1) * k] = d
+        row[kp * k] = -dp[r]
+        rows.append(row)
+        rhs.append(0)
+    for i, (x, y) in enumerate(pairs):
+        for r in range(kp):
+            row = [0] * ncols
+            row[r * k : (r + 1) * k] = x
+            row[kp * k + 1 + i] = -dp[r]
+            rows.append(row)
+            rhs.append(y[r])
+    return rows, rhs
+
+
+@st.composite
+def hom_queries(draw):
+    d = DegreeTuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    dp = DegreeTuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    coords = st.integers(-4, 6)
+    pair = st.tuples(
+        st.tuples(*[coords] * len(d)), st.tuples(*[coords] * len(dp))
+    )
+    return d, dp, draw(st.lists(pair, max_size=4))
+
+
+class TestHomFeasibility:
+    @given(hom_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_hom_exists(self, query):
+        d, dp, pairs = query
+        check = HomFeasibility(d, dp)
+        expected = hom_exists(d, dp, pairs) is not None
+        assert check.exists(pairs) == expected
+        # a second, cached answer is the same
+        assert check.exists(pairs) == expected
+
+    @pytest.mark.parametrize(
+        "degrees, target, pairs, box",
+        [
+            ((2,), (4, 2), [((2,), (4, 2))], 3),
+            ((2,), (4, 2), [((2,), (1, 1))], 3),
+            # the target class must be odd on both generators: row 0 mod 2
+            ((1, 1), (2,), [((1, 0), (1,)), ((0, 1), (1,))], 2),
+            ((1, 1), (2,), [((1, 0), (1,)), ((0, 1), (0,))], 2),
+            # Z/3 into Z/3 + Z: only the torsion part can be hit
+            ((3,), (3, 3), [((1,), (1, 1))], 3),
+            ((3,), (3, 3), [((1,), (1, 0))], 3),
+            # the zero class cannot go to a class of infinite order
+            ((1,), (1, 1), [((1,), (1, 0))], 3),
+        ],
+    )
+    def test_small_systems_match_boxed_search(self, degrees, target, pairs, box):
+        rows, rhs = hom_system(degrees, target, pairs)
+        brute = solve_system_boxed(rows, rhs, box=box)
+        assert HomFeasibility(degrees, target).exists(pairs) == (brute is not None)
+
+    def test_length_mismatch(self):
+        check = HomFeasibility((2,), (4, 2))
+        with pytest.raises(LengthMismatch):
+            check.exists([((1, 1), (1, 1))])
+        with pytest.raises(LengthMismatch):
+            check.exists([((2,), (1,))])

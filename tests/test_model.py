@@ -49,6 +49,17 @@ class TestDegreeTuple:
         with pytest.raises(NonPositiveEntry):
             DegreeTuple([2.5, 1])
 
+    def test_existing_tuple_returned_as_is(self):
+        d = DegreeTuple([2, 5, 3])
+        assert DegreeTuple(d) is d
+        # plain lists and tuples are still validated and sorted
+        for raw in ([2, 5, 3], (2, 5, 3)):
+            again = DegreeTuple(raw)
+            assert type(again) is DegreeTuple and again == (5, 3, 2)
+        for bad in ([2, 0], (2, 0)):
+            with pytest.raises(NonPositiveEntry):
+                DegreeTuple(bad)
+
     @given(degree_lists)
     def test_canonicalize_idempotent(self, entries):
         once = canonicalize(entries)
