@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
@@ -235,59 +236,81 @@ def enumerate_vector_partitions(
 
     Each multiset is yielded exactly once, as a tuple of vectors in
     non-increasing lexicographic order (that ordering *is* the canonical
-    form).  Enumeration order is deterministic.
+    form).  The multisets come in descending lexicographic order of those
+    tuples, the same order as the brute-force ``partitions_of_vector``.
+
+    Method (a multipartition generator in the spirit of Knuth, TAOCP 4A,
+    7.2.1.5, Algorithm M): every admissible part (nonzero, at most
+    ``target`` coordinatewise, support at most ``max_support``) is listed
+    once, in descending lexicographic order.  A partial multiset that ended
+    with part i may continue only with parts i, i + 1, ...; the last part
+    is forced to be what is left.  A branch is cut when what is left has
+    fewer units than parts, more nonzero coordinates than the parts can
+    cover, or a first coordinate that the remaining parts, none larger than
+    the current one, cannot reach.
+
+    Raises ValueError unless ``target`` is a nonempty, nonzero vector of
+    nonnegative ints and ``parts`` and ``max_support`` are positive ints
+    (bools are rejected).
     """
-    tgt = tuple(int(c) for c in target)
+    tgt = tuple(target)
     if not tgt:
         raise ValueError("target vector must be nonempty")
+    if not all(_is_int(c) for c in tgt):
+        raise ValueError(f"target entries must be integers, got {tgt!r}")
     if any(c < 0 for c in tgt) or not any(tgt):
         raise ValueError(f"target must be nonzero with nonnegative entries, got {tgt}")
-    if not isinstance(parts, int) or parts < 1:
+    if not _is_int(parts) or parts < 1:
         raise ValueError(f"parts must be a positive integer, got {parts!r}")
-    if not isinstance(max_support, int) or max_support < 1:
+    if not _is_int(max_support) or max_support < 1:
         raise ValueError(f"max_support must be a positive integer, got {max_support!r}")
     m = len(tgt)
 
-    def candidates(remaining: Tuple[int, ...], bound: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-        # nonzero v <= remaining coordinatewise, v <= bound lexicographically,
-        # support <= max_support; descending lexicographic order.
-        out: List[Tuple[int, ...]] = []
+    part_list: List[Tuple[int, ...]] = []
+    prefix: List[int] = []
 
-        def rec(idx: int, tight: bool, support: int, prefix: List[int]) -> None:
-            if idx == m:
-                if support:
-                    out.append(tuple(prefix))
-                return
-            hi = min(remaining[idx], bound[idx]) if tight else remaining[idx]
-            for c in range(hi, -1, -1):
-                ns = support + (1 if c else 0)
-                if ns > max_support:
-                    continue
-                prefix.append(c)
-                rec(idx + 1, tight and c == bound[idx], ns, prefix)
-                prefix.pop()
+    def list_parts(idx: int, support: int) -> None:
+        if idx == m:
+            if support:
+                part_list.append(tuple(prefix))
+            return
+        for c in range(tgt[idx], -1, -1):
+            if c and support == max_support:
+                continue
+            prefix.append(c)
+            list_parts(idx + 1, support + (1 if c else 0))
+            prefix.pop()
 
-        rec(0, True, 0, [])
-        return out
+    list_parts(0, 0)
+    rank = {w: i for i, w in enumerate(part_list)}
 
     def split(
-        remaining: Tuple[int, ...], nparts: int, bound: Tuple[int, ...]
+        remaining: Tuple[int, ...], nparts: int, start: int
     ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-        total = sum(remaining)
-        if nparts == 0:
-            if total == 0:
-                yield ()
+        if nparts == 1:
+            if rank.get(remaining, -1) >= start:
+                yield (remaining,)
             return
-        if total < nparts:  # every part must be nonzero
+        if sum(remaining) < nparts:  # every part must be nonzero
             return
         if sum(1 for c in remaining if c) > nparts * max_support:
             return
-        for w in candidates(remaining, bound):
-            rest = tuple(a - b for a, b in zip(remaining, w))
-            for tail in split(rest, nparts - 1, w):
+        lead = remaining[0]
+        for i in range(start, len(part_list)):
+            w = part_list[i]
+            if w[0] * nparts < lead:  # no part from here on has a larger lead
+                break
+            rest = tuple(map(sub, remaining, w))
+            if min(rest) < 0:
+                continue
+            for tail in split(rest, nparts - 1, i):
                 yield (w,) + tail
 
-    return split(tgt, parts, tgt)
+    return split(tgt, parts, 0)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _assignments(
@@ -367,9 +390,10 @@ def _cell_outcome(
     for xs in enumerate_vector_partitions(scaled, l, min(n, len(d))):
         if deadline is not None and time.monotonic() > deadline:
             return "ABORT", calls, None
+        x_keys = [homology_reduce(x, d).coordinates for x in xs]
         x_groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        for x in xs:
-            x_groups.setdefault(homology_reduce(x, d).coordinates, []).append(x)
+        for key, x in zip(x_keys, xs):
+            x_groups.setdefault(key, []).append(x)
         g_keys = sorted(x_groups)
         g_sizes = [len(x_groups[key]) for key in g_keys]
         for ys in y_partitions:
@@ -392,16 +416,11 @@ def _cell_outcome(
                 y_classes: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
                 for y in ys:
                     y_classes.setdefault(y_class[y], []).append(y)
-                rep_pairs = [
-                    (x_groups[g_keys[g]][0], y_classes[h_keys[f[g]]][0])
-                    for g in range(len(g_keys))
-                ]
+                image = {key: y_classes[h_keys[h]] for key, h in zip(g_keys, f)}
+                rep_pairs = [(x_groups[key][0], image[key][0]) for key in g_keys]
                 mat = hom_exists(d, dp, rep_pairs)
                 assert mat is not None
-                ys_aligned = []
-                for x in xs:
-                    g = g_keys.index(homology_reduce(x, d).coordinates)
-                    ys_aligned.append(y_classes[h_keys[f[g]]].pop(0))
+                ys_aligned = [image[key].pop(0) for key in x_keys]
                 witness = FeasibilityWitness(
                     n, d, dp, l, q, tuple(xs), tuple(ys_aligned), mat
                 )
@@ -464,19 +483,27 @@ def witness_search(
     y_class: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     y_cache: Dict[int, List[Tuple[Tuple[int, ...], ...]]] = {}
 
-    def y_partitions(l: int) -> List[Tuple[Tuple[int, ...], ...]]:
+    def y_partitions(l: int) -> Optional[List[Tuple[Tuple[int, ...], ...]]]:
+        # None when the deadline passes mid-build; a partial list is not cached
         if l not in y_cache:
-            y_cache[l] = list(enumerate_vector_partitions(tuple(dp), l, len(dp)))
-            for ys in y_cache[l]:
+            built = []
+            for ys in enumerate_vector_partitions(tuple(dp), l, len(dp)):
+                if deadline is not None and time.monotonic() > deadline:
+                    return None
+                built.append(ys)
                 for y in ys:
                     if y not in y_class:
                         y_class[y] = homology_reduce(y, dp).coordinates
+            y_cache[l] = built
         return y_cache[l]
 
     cum = 0
     for l, q in cells:
+        ys_list = y_partitions(l)
+        if ys_list is None:
+            return SearchOutcome(BUDGET_EXCEEDED, None, bounds, cum)
         status, calls, witness = _cell_outcome(
-            n, d, dp, l, q, y_partitions(l), y_class, feasibility,
+            n, d, dp, l, q, ys_list, y_class, feasibility,
             budget.call_cap, deadline,
         )
         cum += calls

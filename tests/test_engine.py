@@ -1,6 +1,8 @@
 """Quick obstruction rules, the certified search, and the decide ladder."""
 
+import hashlib
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,15 @@ def canonical_tuples(max_sum, min_sum=1):
     )
 
 
+def _oracle_parts_cap(target):
+    # largest part count the brute-force oracle handles quickly for target
+    cells = math.prod(t + 1 for t in target) - 1
+    top = 1
+    while top <= sum(target) and math.comb(cells + top, top + 1) <= 20000:
+        top += 1
+    return top
+
+
 class TestVectorPartitions:
     def test_frozen_small_case(self):
         got = list(enumerate_vector_partitions((2, 1), 2, 2))
@@ -88,6 +99,70 @@ class TestVectorPartitions:
 
     def test_empty_when_too_many_parts(self):
         assert list(enumerate_vector_partitions((1, 1), 3, 2)) == []
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(any).flatmap(
+        lambda target: st.tuples(
+            st.just(tuple(target)),
+            st.integers(1, _oracle_parts_cap(target)),
+            st.integers(1, len(target)),
+        )
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_order_matches_brute_force(self, case):
+        target, parts, max_support = case
+        got = list(enumerate_vector_partitions(target, parts, max_support))
+        assert got == partitions_of_vector(target, parts, max_support)
+
+    @pytest.mark.parametrize(
+        "target, counts",
+        [
+            (
+                (9, 9),
+                {7: 4253, 8: 3327, 9: 2243, 10: 1352, 11: 733, 12: 364,
+                 13: 164, 14: 70, 15: 27, 16: 10, 17: 3, 18: 1},
+            ),
+            (
+                (7, 7),
+                {6: 629, 7: 461, 8: 284, 9: 148, 10: 68, 11: 27, 12: 10,
+                 13: 3, 14: 1},
+            ),
+        ],
+    )
+    def test_frozen_counts_per_part_count(self, target, counts):
+        got = {
+            l: sum(1 for _ in enumerate_vector_partitions(target, l, 2))
+            for l in counts
+        }
+        assert got == counts
+
+    def test_frozen_sequence_digest(self):
+        got = list(enumerate_vector_partitions((8, 6), 10, 2))
+        assert len(got) == 67
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+            "6110c46ad14c535fefc24308640f081549ebab238c6103c766bfc6b4a6873474"
+        )
+
+    @pytest.mark.parametrize(
+        "target, parts, max_support",
+        [
+            ((2.7, 1), 2, 2),
+            ((2.0, 1), 2, 2),
+            (("2", 1), 2, 2),
+            ((True, 1), 2, 2),
+            ((2, 1), True, 2),
+            ((2, 1), 2.0, 2),
+            ((2, 1), 2, True),
+            ((2, 1), 2, 1.5),
+            ((), 1, 1),
+            ((0, 0), 1, 1),
+            ((2, -1), 1, 2),
+            ((2, 1), 0, 2),
+            ((2, 1), 2, 0),
+        ],
+    )
+    def test_rejects_bad_arguments(self, target, parts, max_support):
+        with pytest.raises(ValueError):
+            enumerate_vector_partitions(target, parts, max_support)
 
 
 class TestQuickChecks:
@@ -178,6 +253,31 @@ class TestWitnessSearch:
         # every assignment tried is one call, repeated class pairs included
         out = witness_search(n, src, dst, budget)
         assert (out.status, out.calls_used) == (status, calls)
+
+    def test_time_cap_checked_while_target_partitions_are_built(self, monkeypatch):
+        # a counter clock passes the deadline on its fourth read, so the
+        # search must stop within a few target partitions, whatever the
+        # wall time
+        import hsembed.engine as engine
+
+        ticks = itertools.count()
+        monkeypatch.setattr(engine.time, "monotonic", lambda: next(ticks))
+        real = engine.enumerate_vector_partitions
+        pulled = []
+
+        def counting(target, parts, max_support):
+            for item in real(target, parts, max_support):
+                pulled.append(item)
+                yield item
+
+        monkeypatch.setattr(engine, "enumerate_vector_partitions", counting)
+        out = witness_search(3, (5, 4), (12, 11), Budget(time_cap=3))
+        assert (out.status, out.calls_used) == ("BUDGET_EXCEEDED", 0)
+        assert len(pulled) <= 5
+        pulled.clear()
+        v = decide(3, (5, 4), (12, 11), budget=Budget(time_cap=3))
+        assert v.kind == UNKNOWN and v.search_bounds["calls_used"] == 0
+        assert len(pulled) <= 5
 
     def test_feasible_witness_matrix_from_hom_exists(self):
         out = witness_search(2, (2, 2), (4, 3))
