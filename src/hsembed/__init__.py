@@ -49,10 +49,8 @@ from .indices import (
     cz_index_anticanonical,
     f_invariant,
     fredholm_index,
-    g_invariant,
     gw_anchor,
     orbit_spectrum,
-    wrapping_numbers,
 )
 from .lattice import (
     DimensionMismatch,
@@ -64,7 +62,6 @@ from .lattice import (
 )
 from .model import (
     DegreeTuple,
-    DivisorComplement,
     EmptyInput,
     HomologyElement,
     LengthMismatch,
@@ -73,9 +70,7 @@ from .model import (
     UNKNOWN,
     Verdict,
     YES,
-    canonicalize,
     homology_reduce,
-    is_nullhomologous_sum,
 )
 from .order import (
     COMBINE,
@@ -102,7 +97,6 @@ __all__ = [
     "DecompositionWitness",
     "DegreeTuple",
     "DimensionMismatch",
-    "DivisorComplement",
     "EmptyInput",
     "FN_ALMOST_SYMPLECTIC",
     "FeasibilityWitness",
@@ -133,7 +127,6 @@ __all__ = [
     "WEINSTEIN",
     "WITNESS_INFEASIBLE",
     "YES",
-    "canonicalize",
     "check_feasibility_witness",
     "curve_index",
     "cz_index",
@@ -142,11 +135,9 @@ __all__ = [
     "enumerate_vector_partitions",
     "f_invariant",
     "fredholm_index",
-    "g_invariant",
     "gw_anchor",
     "hom_exists",
     "homology_reduce",
-    "is_nullhomologous_sum",
     "leqq",
     "leqq_bfs",
     "leqq_decomposition",
@@ -158,5 +149,4 @@ __all__ = [
     "surface_embeds",
     "verify_verdict",
     "witness_search",
-    "wrapping_numbers",
 ]

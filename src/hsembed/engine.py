@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
-from .model import NO, UNKNOWN, YES, DegreeTuple, Verdict, homology_reduce
+from .model import NO, UNKNOWN, YES, DegreeTuple, Verdict, _jsonify, homology_reduce
 from .order import MoveSequence, leqq
 
 LIOUVILLE = "liouville"
@@ -105,19 +105,9 @@ class Certificate:
     def to_json(self) -> dict:
         return {
             "rule": self.rule,
-            "data": _plain(self.data),
+            "data": _jsonify(self.data),
             "search_bounds": self.search_bounds,
         }
-
-
-def _plain(obj):
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
 
 
 @dataclass(frozen=True)

@@ -39,17 +39,6 @@ class InconsistentHomology(ValueError):
     """Raised when curve ends do not satisfy the homology constraint."""
 
 
-def wrapping_numbers(degrees: Sequence[int]) -> Tuple[int, ...]:
-    """Linking of the small loop around each component with the arrangement.
-
-    In the canonical ordering, the loop around the degree-d_i component has
-    wrapping number -d_i: traversing it once pairs to minus the degree
-    against the defining section.  These are the coefficients that turn
-    wrapping vectors into actions (up to sign).
-    """
-    return tuple(-e for e in DegreeTuple(degrees))
-
-
 def _validate_wrapping(n: int, degrees: DegreeTuple, v: Sequence[int]) -> Tuple[int, ...]:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
@@ -370,18 +359,3 @@ def gw_anchor(n: int) -> int:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
     return factorial(n - 1)
-
-
-def g_invariant(n: int, degrees: Sequence[int]) -> Optional[int]:
-    """Value of the tangency-constrained capacity-type invariant.
-
-    For total degree at least n + 1 the invariant equals the total degree
-    sum(d).  Below that range the computation here does not apply and the
-    function returns None (meaning "not computed", not "infinite").
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
-    d = DegreeTuple(degrees)
-    if d.total() < n + 1:
-        return None
-    return d.total()

@@ -56,10 +56,6 @@ class IntMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
     def row(self, i: int) -> Tuple[int, ...]:
         return self.data[i]
 

@@ -76,48 +76,6 @@ class DegreeTuple(tuple):
         return "DegreeTuple(%s)" % ", ".join(str(e) for e in self)
 
 
-def canonicalize(entries: Iterable[int]) -> DegreeTuple:
-    """Sort a raw degree list into canonical (non-increasing) form.
-
-    Raises EmptyInput or NonPositiveEntry on malformed input.
-    """
-    return DegreeTuple(entries)
-
-
-@dataclass(frozen=True)
-class DivisorComplement:
-    """A complement X of a k-component degree-d arrangement in CP^n.
-
-    ``n`` is the complex dimension of the ambient projective space, so the
-    complement is an open 2n-manifold.  ``degrees`` is canonicalized on
-    construction.
-    """
-
-    n: int
-    degrees: DegreeTuple
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"complex dimension must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "degrees", DegreeTuple(self.degrees))
-
-    @property
-    def components(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def in_main_range(self) -> bool:
-        """Whether the total degree is at least n + 1.
-
-        Most of the obstruction theory (the witness search, the quick
-        checks, the g-type invariant) only applies in this range.
-        """
-        return self.degrees.total() >= self.n + 1
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "degrees": list(self.degrees)}
-
-
 @dataclass(frozen=True)
 class HomologyElement:
     """An element of H_1 of a complement, i.e. Z^k modulo Z*(d_1,...,d_k).
@@ -146,10 +104,6 @@ class HomologyElement:
         object.__setattr__(self, "coordinates", coords)
 
     @property
-    def ambient_length(self) -> int:
-        return len(self.coordinates)
-
-    @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coordinates)
 
@@ -168,45 +122,6 @@ def homology_reduce(vector: Sequence[int], degrees: Iterable[int]) -> HomologyEl
     (2, 0, 0)
     """
     return HomologyElement(tuple(vector), DegreeTuple(degrees))
-
-
-def is_nullhomologous_sum(
-    vectors: Sequence[Sequence[int]], degrees: Iterable[int]
-) -> Optional[int]:
-    """If the vectors sum to a positive multiple q * degrees, return q.
-
-    The vectors are nonnegative-integer exponent vectors over the arrangement
-    components; their classes sum to zero in H_1 of the complement exactly
-    when the literal sum is a multiple of the degree vector, and ``q`` is
-    that multiple (the degree of the capping sphere).  Returns None when the
-    sum is not such a multiple (including the empty-list case).
-
-    Raises LengthMismatch on a length disagreement and ValueError when a
-    vector is zero or has a negative entry.
-    """
-    d = DegreeTuple(degrees)
-    k = len(d)
-    total = [0] * k
-    seen_any = False
-    for v in vectors:
-        w = tuple(int(c) for c in v)
-        if len(w) != k:
-            raise LengthMismatch(f"vector length {len(w)} != tuple length {k}")
-        if any(c < 0 for c in w):
-            raise ValueError(f"exponent vectors must be nonnegative, got {w}")
-        if all(c == 0 for c in w):
-            raise ValueError("exponent vectors must be nonzero")
-        seen_any = True
-        for i, c in enumerate(w):
-            total[i] += c
-    if not seen_any:
-        return None
-    q, rem = divmod(total[0], d[0])
-    if rem != 0 or q < 1:
-        return None
-    if any(total[i] != q * d[i] for i in range(k)):
-        return None
-    return q
 
 
 # Verdict kinds for the decision engine.

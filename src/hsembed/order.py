@@ -9,13 +9,12 @@ can be rewritten into the target by a finite sequence of two moves:
   copies of the same degree).
 
 Both moves yield explicit Weinstein (hence Liouville) embeddings, so a move
-sequence is a checkable YES-witness.  The order is decided two independent
-ways: a breadth-first search over canonical tuples, which also produces a
-shortest move sequence, and a direct decomposition criterion (the target is
-an exact nonnegative combination d'_j = sum_i z_{ij} d_i with every row of
-the matrix z used), which is fast and witness-friendly in matrix form.  The
-two are provably equivalent; this module runs both on every query and
-cross-checks.
+sequence is a checkable YES-witness.  :func:`leqq` decides the order by a
+direct decomposition criterion (the target is an exact nonnegative
+combination d'_j = sum_i z_{ij} d_i with every row of the matrix z used) and
+turns the matrix z into a move sequence.  :func:`leqq_bfs`, a best-first
+search over canonical tuples that returns a shortest move sequence, is the
+independent reference the tests compare the decomposition against.
 
 This module also settles the one-dimensional analogue: complements of
 finite sets of points in a curve of genus g, where the embedding question
@@ -24,15 +23,12 @@ is a closed-form inequality.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
 from .model import DegreeTuple
-
-logger = logging.getLogger(__name__)
 
 COMBINE = "combine"
 DUPLICATE = "duplicate"
@@ -174,6 +170,39 @@ class DecompositionWitness:
             "rows": [list(r) for r in self.rows],
         }
 
+    def to_moves(self) -> MoveSequence:
+        """A move sequence realizing this decomposition.
+
+        Duplicates each source entry d_i until there are sum_j z_{ij}
+        copies, then builds each target entry d'_j by combining its column's
+        copies one at a time: 2 * sum(z) - k - k' moves in all.  Each move
+        finds its indices by value in the current canonical tuple; equal
+        entries are interchangeable, so any position holding the value will
+        do.
+        """
+        state = tuple(self.source)
+        moves: List[Move] = []
+
+        def play(mv: Move) -> None:
+            nonlocal state
+            state = mv.apply(state)
+            moves.append(mv)
+
+        for e, row in zip(self.source, self.rows):
+            for _ in range(sum(row) - 1):
+                play(Move(DUPLICATE, state.index(e)))
+        for j in range(len(self.target)):
+            pieces = [e for e, row in zip(self.source, self.rows) for _ in range(row[j])]
+            acc = pieces[0]
+            for e in pieces[1:]:
+                a = state.index(acc)
+                b = state.index(e, a + 1) if e == acc else state.index(e)
+                play(Move(COMBINE, min(a, b), max(a, b)))
+                acc += e
+        seq = MoveSequence(self.source, self.target, tuple(moves))
+        assert seq.is_valid()
+        return seq
+
 
 def _successor_moves(state: Tuple[int, ...]) -> List[Move]:
     n = len(state)
@@ -297,25 +326,16 @@ def leqq(
 ) -> Tuple[bool, Optional[MoveSequence]]:
     """Decide the partial order, returning (answer, move witness).
 
-    Runs both independent procedures on every call — the decomposition
-    criterion for the boolean and the best-first search for the witness —
-    and cross-checks them.  On disagreement (which would indicate a bug) the
-    search answer wins and a warning is logged.  Cheap at the scales this
-    package targets; do not bolt a cache on top without keeping both paths.
+    The answer comes from :func:`leqq_decomposition`; a YES carries the move
+    sequence built from its witness matrix (see
+    :meth:`DecompositionWitness.to_moves`), which replays from ``source`` to
+    ``target`` but need not be the shortest one (:func:`leqq_bfs` finds
+    that).  A NO returns ``(False, None)``.
     """
-    moves = leqq_bfs(source, target)
     dec = leqq_decomposition(source, target)
-    if (moves is None) != (dec is None):
-        logger.warning(
-            "partial-order procedures disagree on %s -> %s "
-            "(search: %s, decomposition: %s); trusting the search",
-            tuple(source),
-            tuple(target),
-            moves is not None,
-            dec is not None,
-        )
-        return moves is not None, moves
-    return dec is not None, moves
+    if dec is None:
+        return False, None
+    return True, dec.to_moves()
 
 
 def surface_embeds(genus: int, punctures: int, genus_t: int, punctures_t: int) -> bool:

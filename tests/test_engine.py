@@ -30,6 +30,7 @@ from hsembed import (
     hom_exists,
     homology_reduce,
     leqq,
+    leqq_decomposition,
     quick_checks,
     replay_certificate,
     verify_verdict,
@@ -321,6 +322,26 @@ class TestDecide:
         assert v.kind == YES
         assert v.witness.is_valid()
         assert verify_verdict(2, (3, 2, 2), (7, 2), LIOUVILLE, v)
+
+    def test_order_rung_runs_no_move_search(self, monkeypatch):
+        # the decomposition alone decides and builds the witness; the
+        # best-first search took seconds on both of these
+        def forbidden(*args):
+            raise AssertionError("decide ran leqq_bfs")
+
+        monkeypatch.setattr("hsembed.order.leqq_bfs", forbidden)
+        lengths = []
+        for src, dst, budget in [
+            ((7,), (700,), Budget(time_cap=1)),
+            ((3, 2), (12, 11, 10, 9), None),
+        ]:
+            v = decide(2, src, dst, budget=budget)
+            assert v.kind == YES
+            assert verify_verdict(2, src, dst, LIOUVILLE, v)
+            used = sum(map(sum, leqq_decomposition(src, dst).rows))
+            assert len(v.witness) == 2 * used - len(src) - len(dst)
+            lengths.append(len(v.witness))
+        assert lengths[0] == 198
 
     def test_no_via_quick_check(self):
         v = decide(2, (3,), (4, 2))

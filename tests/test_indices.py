@@ -19,25 +19,20 @@ from hsembed import (
     cz_index_anticanonical,
     f_invariant,
     fredholm_index,
-    g_invariant,
     gw_anchor,
     orbit_spectrum,
-    wrapping_numbers,
 )
 
 from oracles import smallest_multiplier
 
 
 class TestWrapping:
-    def test_negated_degrees(self):
-        assert wrapping_numbers((1, 3, 2)) == (-3, -2, -1)
-
     def test_action_is_pairing_against_wrapping(self):
+        # the loop around the degree-d_i component wraps -d_i times
         d = DegreeTuple((4, 2, 1))
-        w = wrapping_numbers(d)
         for v in [(1, 0, 0), (0, 2, 1), (1, 1, 1)]:
             oc = OrbitClass(3, d, v, delta=0)
-            assert oc.action == -sum(a * b for a, b in zip(w, v))
+            assert oc.action == sum(e * c for e, c in zip(d, v))
 
 
 class TestCzIndex:
@@ -201,9 +196,3 @@ class TestNumericInvariants:
     def test_gw_anchor(self):
         for n in range(1, 9):
             assert gw_anchor(n) == math.factorial(n - 1)
-
-    def test_g_invariant(self):
-        assert g_invariant(2, (2, 1)) == 3
-        assert g_invariant(2, (4, 2)) == 6
-        assert g_invariant(2, (2,)) is None
-        assert g_invariant(3, (3,)) is None

@@ -44,8 +44,9 @@ class TestIntMatrix:
 
     def test_mul_identity(self):
         m = IntMatrix([[1, 2], [3, 4]])
-        assert IntMatrix.identity(2).mul(m) == m
-        assert m.mul(IntMatrix.identity(2)) == m
+        identity = IntMatrix([[1, 0], [0, 1]])
+        assert identity.mul(m) == m
+        assert m.mul(identity) == m
 
     def test_vecmul(self):
         m = IntMatrix([[1, 2], [3, 4]])

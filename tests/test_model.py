@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hsembed import (
     DegreeTuple,
-    DivisorComplement,
     EmptyInput,
     HomologyElement,
     LengthMismatch,
@@ -17,9 +16,7 @@ from hsembed import (
     UNKNOWN,
     Verdict,
     YES,
-    canonicalize,
     homology_reduce,
-    is_nullhomologous_sum,
 )
 
 from oracles import reduce_mod_line
@@ -62,28 +59,14 @@ class TestDegreeTuple:
 
     @given(degree_lists)
     def test_canonicalize_idempotent(self, entries):
-        once = canonicalize(entries)
-        assert canonicalize(once) == once
+        once = DegreeTuple(entries)
+        assert DegreeTuple(list(once)) == once
 
     @given(degree_lists, st.randoms())
     def test_canonicalize_permutation_invariant(self, entries, rng):
         shuffled = list(entries)
         rng.shuffle(shuffled)
-        assert canonicalize(shuffled) == canonicalize(entries)
-
-
-class TestDivisorComplement:
-    def test_main_range_boundary(self):
-        assert DivisorComplement(2, (2, 1)).in_main_range
-        assert not DivisorComplement(2, (2,)).in_main_range
-
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            DivisorComplement(0, (1,))
-
-    def test_json_shape(self):
-        blob = DivisorComplement(3, (1, 2)).to_json()
-        assert blob == {"n": 3, "degrees": [2, 1]}
+        assert DegreeTuple(shuffled) == DegreeTuple(entries)
 
 
 class TestHomology:
@@ -123,26 +106,6 @@ class TestHomology:
     def test_is_zero(self):
         assert HomologyElement((8, 4), (4, 2)).is_zero
         assert not HomologyElement((1, 0), (4, 2)).is_zero
-
-
-class TestNullhomologousSum:
-    def test_exact_multiple(self):
-        assert is_nullhomologous_sum([(2, 1), (2, 1), (4, 2)], (4, 2)) == 2
-
-    def test_non_multiple_is_none(self):
-        assert is_nullhomologous_sum([(1, 1)], (4, 2)) is None
-
-    def test_zero_sum_rejected(self):
-        # sum is the zero vector: q would be 0, not a positive multiple
-        assert is_nullhomologous_sum([], (4, 2)) is None
-
-    def test_rejects_zero_vector_entry(self):
-        with pytest.raises(ValueError):
-            is_nullhomologous_sum([(0, 0)], (4, 2))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            is_nullhomologous_sum([(1, 1, 1)], (4, 2))
 
 
 class TestVerdict:

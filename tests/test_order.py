@@ -116,6 +116,12 @@ class TestLeqqRoutes:
             via_bfs = leqq_bfs(src, dst)
             via_dec = leqq_decomposition(src, dst)
             assert (via_bfs is not None) == (via_dec is not None), (src, dst)
+            ok, moves = leqq(src, dst)
+            assert ok == (via_bfs is not None), (src, dst)
+            if ok:
+                assert moves.source == src and moves.replay() == dst
+                used = sum(map(sum, via_dec.rows))
+                assert len(moves) == 2 * used - len(src) - len(dst), (src, dst)
 
     @given(small_tuples, small_tuples)
     @settings(max_examples=80, deadline=None)
