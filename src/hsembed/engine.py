@@ -19,6 +19,10 @@ checks, and the gcd tests into a three-valued verdict with replayable
 evidence: a YES always carries a construction witness, a NO always carries
 a certificate that an independent checker can replay.
 
+Each closed-form NO rule is defined once, in ``_certificates``, and
+``replay_certificate`` re-derives the whole certificate, mode included,
+from the query stored in it.
+
 Budget discipline: the unit of cost is one logical homomorphism
 feasibility query (a query asked before still counts).  The search runs
 sequentially, so its outcome is a pure function of the inputs and the
@@ -28,6 +32,7 @@ compatibility only.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from operator import sub
@@ -508,50 +513,70 @@ def witness_search(
     return SearchOutcome(BUDGET_EXCEEDED, None, bounds, cum)
 
 
+def _certificate(
+    rule: str, n: int, d: DegreeTuple, dp: DegreeTuple, mode: str,
+    search_bounds: Optional[dict] = None, **data: object,
+) -> Certificate:
+    """A certificate whose data starts with the query it answers."""
+    query = {"n": n, "source": list(d), "target": list(dp), "mode": mode}
+    return Certificate(rule, {**query, **data}, search_bounds)
+
+
+def _certificates(
+    n: int, d: DegreeTuple, dp: DegreeTuple, mode: str, related: Optional[bool]
+) -> Iterator[Certificate]:
+    """Every closed-form NO certificate the query admits, in ladder order.
+
+    The one definition of each closed-form rule: its condition, its modes
+    and its data.  The threshold rule (f_invariant divisibility) holds in
+    every mode.  In Liouville/Weinstein mode, with both total degrees at
+    least n + 1: a drop in total degree, an all-ones target with a
+    not-all-ones source, a single-component source whose degree misses the
+    target gcd, and a failed order inside the window (sum(d') below
+    2 * sum(d) - n - 1).  In symplectic mode the gcd rule holds for any source.
+
+    ``related`` is None for the quick rung alone (``quick_checks``), which
+    leaves out the window rule and the symplectic gcd rule.  Otherwise it
+    is the order's answer ``leqq(d, dp)[0]``: ``decide`` passes False once
+    the order gave no YES (no symplectic rule reads it), and a replay
+    passes what the order answers.
+    """
+    fs, ft = f_invariant(n, d), f_invariant(n, dp)
+    if ft % fs:
+        yield _certificate(FN_ALMOST_SYMPLECTIC, n, d, dp, mode, f_source=fs, f_target=ft)
+    sd, sdp = d.total(), dp.total()
+    exact = mode in (LIOUVILLE, WEINSTEIN) and sd >= n + 1 and sdp >= n + 1
+    if exact and sd > sdp:
+        yield _certificate(
+            SUM_DROP, n, d, dp, mode,
+            sum_source=sd, sum_target=sdp, l_range=[sd, sdp], l_range_empty=True,
+        )
+    if exact and all(e == 1 for e in dp) and not all(e == 1 for e in d):
+        yield _certificate(
+            HYPERPLANE_TARGET, n, d, dp, mode, target_all_ones=True, source_all_ones=False
+        )
+    if exact and len(d) == 1 or mode == SYMPLECTIC and related is not None:
+        g, gp = d.gcd(), dp.gcd()
+        if gp % g:
+            yield _certificate(GCD_SINGLE, n, d, dp, mode, divisor=g, target_gcd=gp)
+    if exact and related is False and sdp < 2 * sd - n - 1:
+        yield _certificate(
+            DEGREE_HYP_NOT_LEQQ, n, d, dp, mode,
+            sum_source=sd, sum_target=sdp, window_bound=2 * sd - n - 1, leqq=False,
+        )
+
+
 def quick_checks(
     n: int, source: Sequence[int], target: Sequence[int], mode: str = LIOUVILLE
 ) -> Optional[Certificate]:
-    """Closed-form NO certificates, cheapest first; None when silent.
+    """The first closed-form NO certificate of the quick rung; None when silent.
 
-    The threshold obstruction (f_invariant divisibility) applies in every
-    mode — it survives deformation well beyond the Liouville category.  The
-    remaining three are Liouville/Weinstein obstructions valid when both
-    total degrees are at least n + 1: a drop in total degree, an all-ones
-    target with a not-all-ones source, and a single-component source whose
-    degree misses the target gcd.
+    The quick rung is every rule of ``_certificates`` that needs no answer
+    from the order: FN_ALMOST_SYMPLECTIC in every mode, and in
+    Liouville/Weinstein mode SUM_DROP, HYPERPLANE_TARGET and the
+    single-component GCD_SINGLE.
     """
-    d = DegreeTuple(source)
-    dp = DegreeTuple(target)
-    base = {"n": n, "source": list(d), "target": list(dp), "mode": mode}
-    fs, ft = f_invariant(n, d), f_invariant(n, dp)
-    if ft % fs:
-        return Certificate(
-            FN_ALMOST_SYMPLECTIC,
-            {**base, "f_source": fs, "f_target": ft},
-        )
-    if mode in (LIOUVILLE, WEINSTEIN) and d.total() >= n + 1 and dp.total() >= n + 1:
-        if d.total() > dp.total():
-            return Certificate(
-                SUM_DROP,
-                {
-                    **base,
-                    "sum_source": d.total(),
-                    "sum_target": dp.total(),
-                    "l_range": [d.total(), dp.total()],
-                    "l_range_empty": True,
-                },
-            )
-        if all(e == 1 for e in dp) and not all(e == 1 for e in d):
-            return Certificate(
-                HYPERPLANE_TARGET,
-                {**base, "target_all_ones": True, "source_all_ones": False},
-            )
-        if len(d) == 1 and dp.gcd() % d[0]:
-            return Certificate(
-                GCD_SINGLE,
-                {**base, "divisor": d[0], "target_gcd": dp.gcd()},
-            )
-    return None
+    return next(_certificates(n, DegreeTuple(source), DegreeTuple(target), mode, None), None)
 
 
 def decide(
@@ -566,17 +591,18 @@ def decide(
 
     The ladder, in order:
 
-    1. symplectic mode: gcd divisibility is necessary (NO), and when the
-       source gcd is itself a source entry it is sufficient (YES, via
-       forgetting the other components and then rewriting); otherwise
-       UNKNOWN — no complete symplectic criterion is implemented.
+    1. symplectic mode: gcd divisibility is necessary (NO, the GCD_SINGLE
+       rule), and when the source gcd is itself a source entry it is
+       sufficient (YES, via forgetting the other components and then
+       rewriting); otherwise UNKNOWN — no complete symplectic criterion
+       is implemented.
     2. Liouville/Weinstein: the constructive partial order gives YES with a
        move-sequence witness.
-    3. quick_checks may certify NO.
+    3. the quick rules of ``quick_checks`` may certify NO.
     4. when both total degrees are >= n + 1: if the target total degree is
        below 2*sum(d) - n - 1, the embedding question reduces to the
-       partial order, so a non-YES is NO outright; otherwise the witness
-       search runs, and INFEASIBLE means NO.
+       partial order, so a non-YES is NO outright (DEGREE_HYP_NOT_LEQQ);
+       otherwise the witness search runs, and INFEASIBLE means NO.
     5. anything else is UNKNOWN with a reason.
 
     YES verdicts carry witnesses, NO verdicts carry certificates, and the
@@ -590,14 +616,15 @@ def decide(
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
     budget = budget or Budget()
-    base = {"n": n, "source": list(d), "target": list(dp), "mode": mode}
 
     if mode == SYMPLECTIC:
-        g, gp = d.gcd(), dp.gcd()
-        if gp % g:
-            return Verdict.no(
-                Certificate(GCD_SINGLE, {**base, "divisor": g, "target_gcd": gp})
-            )
+        # the gcd rule is this rung's NO: the threshold rule, which comes
+        # first, implies it in this mode
+        certs = _certificates(n, d, dp, mode, False)
+        cert = next((c for c in certs if c.rule == GCD_SINGLE), None)
+        if cert is not None:
+            return Verdict.no(cert)
+        g = d.gcd()
         if g in d:
             ok, moves = leqq((g,), dp)
             assert ok and moves is not None
@@ -618,32 +645,18 @@ def decide(
         assert moves is not None
         return Verdict.yes(moves)
 
-    cert = quick_checks(n, d, dp, mode)
+    cert = next(_certificates(n, d, dp, mode, False), None)
     if cert is not None:
         return Verdict.no(cert)
 
     sd, sdp = d.total(), dp.total()
-    if sd >= n + 1 and sdp >= n + 1:
-        if sdp < 2 * sd - n - 1:
-            return Verdict.no(
-                Certificate(
-                    DEGREE_HYP_NOT_LEQQ,
-                    {
-                        **base,
-                        "sum_source": sd,
-                        "sum_target": sdp,
-                        "window_bound": 2 * sd - n - 1,
-                        "leqq": False,
-                    },
-                )
-            )
+    if sd >= n + 1 and sdp >= n + 1:  # outside the window: inside, its rule answered
         outcome = witness_search(n, d, dp, budget, threads)
         if outcome.status == INFEASIBLE:
             return Verdict.no(
-                Certificate(
-                    WITNESS_INFEASIBLE,
-                    {**base, "budget": budget.to_json()},
-                    search_bounds=outcome.bounds,
+                _certificate(
+                    WITNESS_INFEASIBLE, n, d, dp, mode, outcome.bounds,
+                    budget=budget.to_json(),
                 ),
                 search_bounds=outcome.bounds,
             )
@@ -668,55 +681,36 @@ def decide(
 
 
 def replay_certificate(cert: Certificate) -> bool:
-    """Re-derive a NO certificate from its own data; True iff it stands.
+    """Re-derive a NO certificate from its own query; True iff it stands.
 
-    Each rule is replayed by an independent (and for WITNESS_INFEASIBLE,
-    expensive) recomputation, using nothing but the certificate contents.
+    The stored n, source, target and mode are the whole input: the
+    certificates that query admits are derived again, and the replay holds
+    only if one of them equals ``cert`` as JSON, rule, data and search
+    bounds alike.  So a changed data field fails, and so does a rule stored
+    under a mode it does not hold in.  The closed-form rules come from the
+    one definition in ``_certificates``.  WITNESS_INFEASIBLE holds only in
+    Liouville and Weinstein mode; it re-runs the whole search under the
+    recorded ``q_cap`` and ``call_cap``, but not ``time_cap``, because
+    exhausting the grid does not depend on time.
     """
     data = cert.data
-    n = data["n"]
+    n, mode = data["n"], data["mode"]
     d = DegreeTuple(data["source"])
     dp = DegreeTuple(data["target"])
-    if cert.rule == FN_ALMOST_SYMPLECTIC:
-        return f_invariant(n, dp) % f_invariant(n, d) != 0
-    if cert.rule == SUM_DROP:
-        return (
-            d.total() >= n + 1
-            and dp.total() >= n + 1
-            and d.total() > dp.total()
-        )
-    if cert.rule == HYPERPLANE_TARGET:
-        return (
-            d.total() >= n + 1
-            and dp.total() >= n + 1
-            and all(e == 1 for e in dp)
-            and not all(e == 1 for e in d)
-        )
-    if cert.rule == GCD_SINGLE:
-        if data["mode"] == SYMPLECTIC:
-            return dp.gcd() % d.gcd() != 0
-        return (
-            len(d) == 1
-            and d.total() >= n + 1
-            and dp.total() >= n + 1
-            and dp.gcd() % d[0] != 0
-        )
-    if cert.rule == DEGREE_HYP_NOT_LEQQ:
-        return (
-            d.total() >= n + 1
-            and dp.total() >= n + 1
-            and dp.total() < 2 * d.total() - n - 1
-            and not leqq(d, dp)[0]
-        )
-    if cert.rule == WITNESS_INFEASIBLE:
-        spec = data.get("budget") or {}
-        budget = Budget(
-            q_cap=spec.get("q_cap", 4),
-            call_cap=spec.get("call_cap", 10**6),
-            time_cap=spec.get("time_cap"),
-        )
-        return witness_search(n, d, dp, budget).status == INFEASIBLE
-    raise ValueError(f"unknown certificate rule {cert.rule!r}")
+    if mode not in MODES:
+        return False
+    if cert.rule != WITNESS_INFEASIBLE:
+        derived = list(_certificates(n, d, dp, mode, leqq(d, dp)[0]))
+    elif mode == SYMPLECTIC:
+        return False
+    else:
+        spec = data["budget"]
+        outcome = witness_search(n, d, dp, Budget(spec["q_cap"], spec["call_cap"]))
+        if outcome.status != INFEASIBLE:
+            return False
+        derived = [_certificate(WITNESS_INFEASIBLE, n, d, dp, mode, outcome.bounds, budget=spec)]
+    stored = json.dumps(cert.to_json(), sort_keys=True)
+    return any(json.dumps(c.to_json(), sort_keys=True) == stored for c in derived)
 
 
 def verify_verdict(
@@ -726,7 +720,11 @@ def verify_verdict(
     mode: str,
     verdict: Verdict,
 ) -> bool:
-    """Replay a verdict's evidence against the query it claims to answer."""
+    """Replay a verdict's evidence against the query it claims to answer.
+
+    A NO verifies only if its certificate names this query, mode included,
+    and replays (see :func:`replay_certificate`).
+    """
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
     if verdict.kind == YES:
@@ -753,6 +751,7 @@ def verify_verdict(
             and DegreeTuple(cert.data["source"]) == d
             and DegreeTuple(cert.data["target"]) == dp
             and cert.data["n"] == n
+            and cert.data["mode"] == mode
             and replay_certificate(cert)
         )
     return verdict.kind == UNKNOWN

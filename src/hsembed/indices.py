@@ -39,40 +39,24 @@ class InconsistentHomology(ValueError):
     """Raised when curve ends do not satisfy the homology constraint."""
 
 
-def _validate_wrapping(n: int, degrees: DegreeTuple, v: Sequence[int]) -> Tuple[int, ...]:
+def _validate_wrapping(
+    n: int, v: Sequence[int], length: Optional[int] = None
+) -> Tuple[Tuple[int, ...], int]:
+    """The wrapping vector v of an orbit family in dimension n, as ints, and
+    its support size; v must have ``length`` entries when that is given."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
-    w = tuple(int(c) for c in v)
-    if len(w) != len(degrees):
-        raise LengthMismatch(f"wrapping length {len(w)} != {len(degrees)} components")
-    if any(c < 0 for c in w):
-        raise InadmissibleOrbit(f"wrapping numbers must be nonnegative, got {w}")
-    if all(c == 0 for c in w):
-        raise InadmissibleOrbit("wrapping vector must be nonzero")
-    if sum(1 for c in w if c) > n:
-        raise InadmissibleOrbit(
-            f"wrapping {w} meets more than n = {n} components; no such Reeb orbit"
-        )
-    return w
-
-
-def _validate_orbit_data(n: int, v: Sequence[int], morse_index: int) -> Tuple[int, ...]:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
-    w = tuple(int(c) for c in v)
-    if any(c < 0 for c in w) or not any(w):
+    w = tuple(map(int, v))
+    if length is not None and len(w) != length:
+        raise LengthMismatch(f"wrapping length {len(w)} != {length} components")
+    if not any(w) or min(w) < 0:
         raise InadmissibleOrbit(f"wrapping must be nonzero with nonnegative entries, got {w}")
-    r = sum(1 for c in w if c)
+    r = len(w) - w.count(0)
     if r > n:
         raise InadmissibleOrbit(
             f"wrapping {w} meets more than n = {n} components; no such Reeb orbit"
         )
-    top = 2 * n - r - 1
-    if not isinstance(morse_index, int) or not MIN_MORSE_INDEX <= morse_index <= top:
-        raise InadmissibleOrbit(
-            f"Morse index {morse_index!r} outside 0..{top} for support size {r}"
-        )
-    return w
+    return w, r
 
 
 def cz_index(n: int, v: Sequence[int], morse_index: int) -> int:
@@ -83,7 +67,12 @@ def cz_index(n: int, v: Sequence[int], morse_index: int) -> int:
     over 0 .. 2n - r - 1 where r is the support size of v (the dimension of
     the orbit family); anything outside raises InadmissibleOrbit.
     """
-    w = _validate_orbit_data(n, v, morse_index)
+    w, r = _validate_wrapping(n, v)
+    top = 2 * n - r - 1
+    if not isinstance(morse_index, int) or not MIN_MORSE_INDEX <= morse_index <= top:
+        raise InadmissibleOrbit(
+            f"Morse index {morse_index!r} outside 0..{top} for support size {r}"
+        )
     return n - 1 - morse_index - 2 * sum(w)
 
 
@@ -98,13 +87,13 @@ def cz_index_anticanonical(
     reduces to :func:`cz_index`, and a_i = -1 removes component i from the
     correction entirely.
     """
-    w = _validate_orbit_data(n, v, morse_index)
+    cz = cz_index(n, v, morse_index)
     a = tuple(int(c) for c in vanishing_orders)
-    if len(a) != len(w):
+    if len(a) != len(v):
         raise LengthMismatch(
-            f"vanishing orders length {len(a)} != wrapping length {len(w)}"
+            f"vanishing orders length {len(a)} != wrapping length {len(v)}"
         )
-    return n - 1 - morse_index - 2 * sum(c * (o + 1) for c, o in zip(w, a))
+    return cz - 2 * sum(int(c) * o for c, o in zip(v, a))
 
 
 @dataclass(frozen=True)
@@ -124,8 +113,7 @@ class OrbitClass:
 
     def __post_init__(self) -> None:
         d = DegreeTuple(self.degrees)
-        w = _validate_wrapping(self.n, d, self.v)
-        r = sum(1 for c in w if c)
+        w, r = _validate_wrapping(self.n, self.v, len(d))
         if not isinstance(self.delta, int) or not r - self.n <= self.delta <= self.n - 1:
             raise InadmissibleOrbit(
                 f"delta {self.delta!r} outside {r - self.n}..{self.n - 1} "

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hsembed import (
     Budget,
+    Certificate,
     DEGREE_HYP_NOT_LEQQ,
     DegreeTuple,
     FN_ALMOST_SYMPLECTIC,
@@ -193,15 +194,31 @@ class TestQuickChecks:
                 assert quick_checks(2, src, dst, LIOUVILLE) is None, (src, dst)
 
     def test_replayable(self):
-        for args in [
-            ((2, (4, 2), (3,), SYMPLECTIC)),
-            ((2, (1, 1, 1, 1), (1, 1, 1), LIOUVILLE)),
-            ((2, (2, 1), (1, 1, 1), LIOUVILLE)),
-            ((2, (3,), (4, 2), LIOUVILLE)),
+        # every closed-form rule, once as produced and once with one data
+        # field changed: a replay re-derives the whole certificate
+        for cert, rule, field in [
+            (quick_checks(2, (4, 2), (3,), SYMPLECTIC), FN_ALMOST_SYMPLECTIC, "f_target"),
+            (decide(2, (1, 1, 1, 1), (1, 1, 1)).certificate, SUM_DROP, "sum_target"),
+            (decide(2, (2, 1), (1, 1, 1)).certificate, HYPERPLANE_TARGET, "source_all_ones"),
+            (decide(2, (3,), (4, 2)).certificate, GCD_SINGLE, "divisor"),
+            (decide(2, (3, 3), (5, 1)).certificate, DEGREE_HYP_NOT_LEQQ, "sum_target"),
+            (decide(2, (4, 2), (5, 3), SYMPLECTIC).certificate, GCD_SINGLE, "divisor"),
         ]:
-            cert = quick_checks(*args)
-            assert cert is not None
-            assert replay_certificate(cert)
+            assert cert is not None and cert.rule == rule
+            assert replay_certificate(cert), cert
+            value = cert.data[field]
+            changed = not value if isinstance(value, bool) else value + 1
+            tampered = Certificate(rule, {**cert.data, field: changed}, cert.search_bounds)
+            assert not replay_certificate(tampered), tampered
+
+    def test_symplectic_mode_has_only_the_threshold_rule(self):
+        # the symplectic gcd rule is decide's rung, not a quick check
+        assert quick_checks(2, (4, 2), (5, 3), SYMPLECTIC).rule == FN_ALMOST_SYMPLECTIC
+        assert decide(1, (2,), (3,), SYMPLECTIC).certificate.rule == GCD_SINGLE
+        assert quick_checks(1, (2,), (3,), SYMPLECTIC) is None
+        for src, dst in itertools.product(canonical_tuples(5), repeat=2):
+            cert = quick_checks(2, src, dst, SYMPLECTIC)
+            assert cert is None or cert.rule == FN_ALMOST_SYMPLECTIC, (src, dst)
 
 
 class TestWitnessSearch:
@@ -377,6 +394,30 @@ class TestDecide:
         v = decide(2, (4, 2), (5, 3), SYMPLECTIC)
         assert v.kind == NO and v.certificate.rule == GCD_SINGLE
         assert verify_verdict(2, (4, 2), (5, 3), SYMPLECTIC, v)
+
+    def test_verdict_verifies_only_for_its_own_mode(self):
+        no = decide(2, (4, 2), (2, 2))
+        assert no.kind == NO and no.certificate.rule == SUM_DROP
+        assert verify_verdict(2, (4, 2), (2, 2), LIOUVILLE, no)
+        assert not verify_verdict(2, (4, 2), (2, 2), SYMPLECTIC, no)
+        # a Liouville-only rule stored under the symplectic mode does not replay
+        moved = Certificate(SUM_DROP, {**no.certificate.data, "mode": SYMPLECTIC})
+        assert not replay_certificate(moved)
+        yes = decide(2, (4, 2), (2, 2), SYMPLECTIC)
+        assert yes.kind == YES
+        assert verify_verdict(2, (4, 2), (2, 2), SYMPLECTIC, yes)
+
+    def test_search_replay_does_not_depend_on_time_cap(self):
+        # exhausting the grid does not depend on time, so the recorded
+        # time_cap is not replayed
+        cert = decide(2, (3, 3), (5, 5), budget=Budget(time_cap=60)).certificate
+        assert cert.rule == WITNESS_INFEASIBLE
+        budget = {**cert.data["budget"], "time_cap": 1e-9}
+        hurried = Certificate(cert.rule, {**cert.data, "budget": budget}, cert.search_bounds)
+        assert replay_certificate(hurried)
+        # the search rule holds only in the exact modes
+        moved = Certificate(cert.rule, {**cert.data, "mode": SYMPLECTIC}, cert.search_bounds)
+        assert not replay_certificate(moved)
 
     def test_symplectic_unknown_when_gcd_absent(self):
         v = decide(2, (4, 6), (8, 2), SYMPLECTIC)

@@ -113,6 +113,20 @@ class TestOrbitClassAndSpectrum:
         keys = [(oc.action, oc.v, oc.delta) for oc in classes]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize(
+        "n, v, error",
+        [
+            (2, (1,), LengthMismatch),  # one entry per component
+            (2, (2, -1), InadmissibleOrbit),
+            (2, (0, 0), InadmissibleOrbit),
+            (1, (1, 1), InadmissibleOrbit),  # meets more than n components
+            (0, (1, 0), ValueError),
+        ],
+    )
+    def test_orbit_class_rejects_bad_wrapping(self, n, v, error):
+        with pytest.raises(error):
+            OrbitClass(n, DegreeTuple((2, 1)), v, delta=0)
+
     def test_delta_range_enforced(self):
         with pytest.raises(InadmissibleOrbit):
             OrbitClass(2, DegreeTuple((1, 1)), (1, 1), delta=2)
