@@ -32,11 +32,13 @@ compatibility only.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass
 from operator import sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
@@ -358,14 +360,19 @@ def _grid_cells(
     return cells, finite
 
 
+# A target partition with its class signature: the sorted homology class
+# keys of its vectors and how many vectors fall in each class.
+_Target = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...], Tuple[int, ...]]
+
+
 def _cell_outcome(
     n: int,
     d: DegreeTuple,
     dp: DegreeTuple,
     l: int,
     q: int,
-    y_partitions: Sequence[Tuple[Tuple[int, ...], ...]],
-    y_class: Dict[Tuple[int, ...], Tuple[int, ...]],
+    target_partitions: Callable[[int], Optional[List[_Target]]],
+    assignments: Callable[[Tuple[int, ...], Tuple[int, ...]], Tuple[Tuple[int, ...], ...]],
     feasibility: HomFeasibility,
     call_cap: int,
     deadline: Optional[float],
@@ -375,32 +382,40 @@ def _cell_outcome(
     Returns (status, calls, witness) with status one of "FEASIBLE", "DONE",
     "ABORT".  Every assignment tried is one call, whether or not the same
     class pairs were asked before, so the call count at any point is a pure
-    function of (cell, call_cap).  ``y_class`` maps every vector of
-    ``y_partitions`` to its homology class coordinates.
+    function of (cell, call_cap).
+
+    ``target_partitions(l)`` gives the classified target partitions of l,
+    or None when the deadline passed while building them; it is asked only
+    once the cell has a source partition, so a cell with none builds
+    nothing.  A target partition with more classes than the source
+    partition has groups admits no assignment, so it is skipped before
+    ``assignments`` (the ``_assignments`` of a pair of group and class
+    sizes) is asked, and costs 0 calls.
     """
     calls = 0
     scaled = tuple(q * e for e in d)
     if sum(scaled) < l:  # cannot split q*d into l nonzero parts
         return "DONE", 0, None
+    y_partitions: Optional[List[_Target]] = None
     for xs in enumerate_vector_partitions(scaled, l, min(n, len(d))):
         if deadline is not None and time.monotonic() > deadline:
             return "ABORT", calls, None
+        if y_partitions is None:
+            y_partitions = target_partitions(l)
+            if y_partitions is None:
+                return "ABORT", calls, None
         x_keys = [homology_reduce(x, d).coordinates for x in xs]
         x_groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
         for key, x in zip(x_keys, xs):
             x_groups.setdefault(key, []).append(x)
         g_keys = sorted(x_groups)
-        g_sizes = [len(x_groups[key]) for key in g_keys]
-        for ys in y_partitions:
+        g_sizes = tuple(len(x_groups[key]) for key in g_keys)
+        for ys, h_keys, h_sizes in y_partitions:
+            if len(h_sizes) > len(g_sizes):
+                continue
             if deadline is not None and time.monotonic() > deadline:
                 return "ABORT", calls, None
-            h_counts: Dict[Tuple[int, ...], int] = {}
-            for y in ys:
-                key = y_class[y]
-                h_counts[key] = h_counts.get(key, 0) + 1
-            h_keys = sorted(h_counts)
-            h_sizes = [h_counts[key] for key in h_keys]
-            for f in _assignments(g_sizes, h_sizes):
+            for f in assignments(g_sizes, h_sizes):
                 calls += 1
                 if calls > call_cap:
                     return "ABORT", calls, None
@@ -410,7 +425,7 @@ def _cell_outcome(
                     continue
                 y_classes: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
                 for y in ys:
-                    y_classes.setdefault(y_class[y], []).append(y)
+                    y_classes.setdefault(homology_reduce(y, dp).coordinates, []).append(y)
                 image = {key: y_classes[h_keys[h]] for key, h in zip(g_keys, f)}
                 rep_pairs = [(x_groups[key][0], image[key][0]) for key in g_keys]
                 mat = hom_exists(d, dp, rep_pairs)
@@ -439,6 +454,14 @@ def witness_search(
     otherwise.  In the boundary case sum(d) = n + 1 the q-range is
     unbounded, so no finite exploration can prove infeasibility and the
     fallback is always BUDGET_EXCEEDED.
+
+    The target partitions of l are listed only when a cell of that l has a
+    source partition to pair them with, and the list is dropped once the
+    grid moves past l.  Each target partition is classified once, when it
+    is listed; the cells of l then skip, at 0 calls, every one with more
+    classes than their source partition has groups.  The assignments of
+    each pair of group and class sizes are listed once per search; each one
+    tried is still one call.
 
     The search runs sequentially; ``threads`` must be a positive integer
     and is accepted for compatibility, but does not change how it runs.
@@ -476,29 +499,39 @@ def witness_search(
     deadline = time.monotonic() + budget.time_cap if budget.time_cap else None
     feasibility = HomFeasibility(d, dp)
     y_class: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    y_cache: Dict[int, List[Tuple[Tuple[int, ...], ...]]] = {}
+    y_cache: Dict[int, List[_Target]] = {}  # at most the list of the current l
 
-    def y_partitions(l: int) -> Optional[List[Tuple[Tuple[int, ...], ...]]]:
+    def target_partitions(l: int) -> Optional[List[_Target]]:
         # None when the deadline passes mid-build; a partial list is not cached
         if l not in y_cache:
             built = []
             for ys in enumerate_vector_partitions(tuple(dp), l, len(dp)):
                 if deadline is not None and time.monotonic() > deadline:
                     return None
-                built.append(ys)
+                counts: Dict[Tuple[int, ...], int] = {}
                 for y in ys:
-                    if y not in y_class:
-                        y_class[y] = homology_reduce(y, dp).coordinates
+                    key = y_class.get(y)
+                    if key is None:
+                        key = y_class[y] = homology_reduce(y, dp).coordinates
+                    counts[key] = counts.get(key, 0) + 1
+                h_keys = tuple(sorted(counts))
+                built.append((ys, h_keys, tuple(counts[key] for key in h_keys)))
             y_cache[l] = built
         return y_cache[l]
 
+    @functools.cache
+    def assignments(
+        g_sizes: Tuple[int, ...], h_sizes: Tuple[int, ...]
+    ) -> Tuple[Tuple[int, ...], ...]:
+        # one cell reads at most call_cap + 1 of them before it aborts
+        return tuple(itertools.islice(_assignments(g_sizes, h_sizes), budget.call_cap + 1))
+
     cum = 0
     for l, q in cells:
-        ys_list = y_partitions(l)
-        if ys_list is None:
-            return SearchOutcome(BUDGET_EXCEEDED, None, bounds, cum)
+        if l not in y_cache:
+            y_cache.clear()  # cells come in ascending l: no later cell reads it
         status, calls, witness = _cell_outcome(
-            n, d, dp, l, q, ys_list, y_class, feasibility,
+            n, d, dp, l, q, target_partitions, assignments, feasibility,
             budget.call_cap, deadline,
         )
         cum += calls
@@ -566,6 +599,14 @@ def _certificates(
         )
 
 
+def _check_query(n: int, mode: str) -> None:
+    """Raise ValueError unless n is a positive int and mode is one of MODES."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def quick_checks(
     n: int, source: Sequence[int], target: Sequence[int], mode: str = LIOUVILLE
 ) -> Optional[Certificate]:
@@ -574,8 +615,10 @@ def quick_checks(
     The quick rung is every rule of ``_certificates`` that needs no answer
     from the order: FN_ALMOST_SYMPLECTIC in every mode, and in
     Liouville/Weinstein mode SUM_DROP, HYPERPLANE_TARGET and the
-    single-component GCD_SINGLE.
+    single-component GCD_SINGLE.  Raises ValueError, as ``decide`` does,
+    unless n is a positive int and mode is one of MODES.
     """
+    _check_query(n, mode)
     return next(_certificates(n, DegreeTuple(source), DegreeTuple(target), mode, None), None)
 
 
@@ -609,10 +652,7 @@ def decide(
     ``search_bounds`` attribute documents the explored grid whenever the
     search ran.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_query(n, mode)
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
     budget = budget or Budget()
@@ -680,6 +720,20 @@ def decide(
     )
 
 
+def _stored_query(cert: Certificate) -> Optional[Tuple[int, DegreeTuple, DegreeTuple, str]]:
+    """The (n, source, target, mode) a certificate's data names; None when
+    the data is not a dict or lacks a valid query."""
+    data = cert.data
+    if not isinstance(data, dict):
+        return None
+    try:
+        n, mode = data["n"], data["mode"]
+        _check_query(n, mode)
+        return n, DegreeTuple(data["source"]), DegreeTuple(data["target"]), mode
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 def replay_certificate(cert: Certificate) -> bool:
     """Re-derive a NO certificate from its own query; True iff it stands.
 
@@ -691,21 +745,25 @@ def replay_certificate(cert: Certificate) -> bool:
     one definition in ``_certificates``.  WITNESS_INFEASIBLE holds only in
     Liouville and Weinstein mode; it re-runs the whole search under the
     recorded ``q_cap`` and ``call_cap``, but not ``time_cap``, because
-    exhausting the grid does not depend on time.
+    exhausting the grid does not depend on time.  A certificate whose data
+    does not name a valid query, or a budget where the rule needs one, does
+    not stand.
     """
-    data = cert.data
-    n, mode = data["n"], data["mode"]
-    d = DegreeTuple(data["source"])
-    dp = DegreeTuple(data["target"])
-    if mode not in MODES:
+    query = _stored_query(cert)
+    if query is None:
         return False
+    n, d, dp, mode = query
     if cert.rule != WITNESS_INFEASIBLE:
         derived = list(_certificates(n, d, dp, mode, leqq(d, dp)[0]))
     elif mode == SYMPLECTIC:
         return False
     else:
-        spec = data["budget"]
-        outcome = witness_search(n, d, dp, Budget(spec["q_cap"], spec["call_cap"]))
+        spec = cert.data.get("budget")
+        try:
+            replayed = Budget(spec["q_cap"], spec["call_cap"])
+        except (KeyError, TypeError, ValueError):
+            return False
+        outcome = witness_search(n, d, dp, replayed)
         if outcome.status != INFEASIBLE:
             return False
         derived = [_certificate(WITNESS_INFEASIBLE, n, d, dp, mode, outcome.bounds, budget=spec)]
@@ -748,10 +806,7 @@ def verify_verdict(
         cert = verdict.certificate
         return (
             isinstance(cert, Certificate)
-            and DegreeTuple(cert.data["source"]) == d
-            and DegreeTuple(cert.data["target"]) == dp
-            and cert.data["n"] == n
-            and cert.data["mode"] == mode
+            and _stored_query(cert) == (n, d, dp, mode)
             and replay_certificate(cert)
         )
     return verdict.kind == UNKNOWN

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -22,6 +23,7 @@ from hsembed import (
     SUM_DROP,
     SYMPLECTIC,
     UNKNOWN,
+    Verdict,
     WEINSTEIN,
     WITNESS_INFEASIBLE,
     YES,
@@ -211,6 +213,13 @@ class TestQuickChecks:
             tampered = Certificate(rule, {**cert.data, field: changed}, cert.search_bounds)
             assert not replay_certificate(tampered), tampered
 
+    @pytest.mark.parametrize("n, mode", [(2, "contact"), (0, LIOUVILLE), (2.0, LIOUVILLE)])
+    def test_rejects_what_decide_rejects(self, n, mode):
+        with pytest.raises(ValueError):
+            decide(n, (4, 2), (3,), mode)
+        with pytest.raises(ValueError):
+            quick_checks(n, (4, 2), (3,), mode)
+
     def test_symplectic_mode_has_only_the_threshold_rule(self):
         # the symplectic gcd rule is decide's rung, not a quick check
         assert quick_checks(2, (4, 2), (5, 3), SYMPLECTIC).rule == FN_ALMOST_SYMPLECTIC
@@ -265,6 +274,7 @@ class TestWitnessSearch:
             (2, (3, 3), (5, 5), None, "INFEASIBLE", 122),
             (2, (3, 1), (2, 2, 2), None, "INFEASIBLE", 768),
             (3, (4, 4), (9, 8), Budget(call_cap=2000), "BUDGET_EXCEEDED", 2001),
+            (3, (4, 3), (9, 9), Budget(call_cap=2000), "BUDGET_EXCEEDED", 2001),
         ],
     )
     def test_pinned_call_counts(self, n, src, dst, budget, status, calls):
@@ -296,6 +306,53 @@ class TestWitnessSearch:
         v = decide(3, (5, 4), (12, 11), budget=Budget(time_cap=3))
         assert v.kind == UNKNOWN and v.search_bounds["calls_used"] == 0
         assert len(pulled) <= 5
+
+    @pytest.mark.parametrize(
+        "n, src, dst, built",
+        [
+            (3, (4, 3), (9, 9), [7, 10]),
+            (3, (4, 4), (9, 8), [8, 12]),
+        ],
+    )
+    def test_target_partitions_built_only_for_cells_that_reach_them(
+        self, monkeypatch, n, src, dst, built
+    ):
+        # the other cells of l <= 10 (resp. 12) have sum(q*d) < l, so no
+        # source partition, and their target lists are never read
+        import hsembed.engine as engine
+
+        real = engine.enumerate_vector_partitions
+        target_parts = []
+
+        def counting(target, parts, max_support):
+            if tuple(target) == dst:
+                target_parts.append(parts)
+            return real(target, parts, max_support)
+
+        monkeypatch.setattr(engine, "enumerate_vector_partitions", counting)
+        witness_search(n, src, dst, Budget(call_cap=2000))
+        assert target_parts == built
+
+    def test_frozen_outcome_digest(self):
+        # status, calls, bounds and witness of every query with source and
+        # target of sum <= 7 and at most 3 components, for n = 1..3
+        tuples = [d for d in canonical_tuples(7) if len(d) <= 3]
+        digest = hashlib.sha256()
+        count = feasible = 0
+        for n in (1, 2, 3):
+            for src, dst in itertools.product(tuples, repeat=2):
+                if src.total() < n + 1 or dst.total() < n + 1:
+                    continue
+                out = witness_search(n, src, dst, Budget(call_cap=3000))
+                count += 1
+                feasible += out.status == "FEASIBLE"
+                witness = None if out.witness is None else out.witness.to_json()
+                record = [out.status, out.calls_used, out.bounds, witness]
+                digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        assert (count, feasible) == (2146, 676)
+        assert digest.hexdigest() == (
+            "f2a1cc6fb24fe5f48db56cfc4c1eb985a5030c2ea65abf6eb8a3ea63c3671ec3"
+        )
 
     def test_feasible_witness_matrix_from_hom_exists(self):
         out = witness_search(2, (2, 2), (4, 3))
@@ -418,6 +475,31 @@ class TestDecide:
         # the search rule holds only in the exact modes
         moved = Certificate(cert.rule, {**cert.data, "mode": SYMPLECTIC}, cert.search_bounds)
         assert not replay_certificate(moved)
+
+    @pytest.mark.parametrize(
+        "query, key",
+        [
+            pytest.param(query, key, id=f"{rule}-{key or 'not_a_dict'}")
+            for rule, query, keys in [
+                ("sum_drop", (2, (4, 2), (2, 2)), ("n", "source", "target", "mode", None)),
+                ("search", (2, (3, 3), (5, 5)), ("n", "source", "target", "mode", "budget", None)),
+            ]
+            for key in keys
+        ],
+    )
+    def test_malformed_certificate_does_not_stand(self, query, key):
+        # a SUM_DROP and a WITNESS_INFEASIBLE certificate with one field
+        # missing, or with data that is not a dict (key None), replay as
+        # False instead of raising
+        cert = decide(*query).certificate
+        assert replay_certificate(cert)
+        if key is None:
+            data = list(cert.data.items())
+        else:
+            data = {k: value for k, value in cert.data.items() if k != key}
+        broken = Certificate(cert.rule, data, cert.search_bounds)
+        assert not replay_certificate(broken)
+        assert not verify_verdict(*query, LIOUVILLE, Verdict.no(broken))
 
     def test_symplectic_unknown_when_gcd_absent(self):
         v = decide(2, (4, 6), (8, 2), SYMPLECTIC)
