@@ -24,10 +24,12 @@ Each closed-form NO rule is defined once, in ``_certificates``, and
 from the query stored in it.
 
 Budget discipline: the unit of cost is one logical homomorphism
-feasibility query (a query asked before still counts).  The search runs
-sequentially, so its outcome is a pure function of the inputs and the
-budget; the ``threads`` argument is validated and accepted for
-compatibility only.
+feasibility query (a query asked before still counts).  ``call_cap`` is a
+hard bound on the running total of a search: a capped search stops at the
+call past it and reports ``call_cap + 1``.  The search runs sequentially,
+so without a ``time_cap`` its outcome is a pure function of the inputs and
+the budget; ``decide``'s ``threads`` argument is validated and accepted
+for compatibility only.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import json
 import time
 from dataclasses import dataclass
 from operator import sub
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
@@ -74,7 +76,9 @@ class Budget:
 
     ``q_cap`` only matters when the q-range is infinite (total source
     degree exactly n + 1); in the finite regime the grid itself bounds q.
-    ``call_cap`` counts logical homomorphism queries; ``time_cap`` is a
+    ``call_cap`` is a hard bound on the running total of logical
+    homomorphism queries of one search; a search that reaches it stops at
+    the next query and reports ``call_cap + 1`` calls.  ``time_cap`` is a
     wall-clock limit in seconds and is the one knob that trades
     determinism for latency (leave it None for reproducible runs).
     """
@@ -343,128 +347,34 @@ def _assignments(
     return rec(0)
 
 
-def _grid_cells(
-    n: int, sd: int, sdp: int, budget: Budget
-) -> Tuple[List[Tuple[int, int]], bool]:
-    """The (l, q) cells to explore, in order, plus whether the grid is
-    exhaustive (so that completing it proves infeasibility)."""
-    cells: List[Tuple[int, int]] = []
-    finite = sd > n + 1
-    for l in range(sd, sdp + 1):
-        if finite:
-            q_max = (l - n - 1) // (sd - n - 1)
-        else:
-            q_max = budget.q_cap
-        for q in range(1, q_max + 1):
-            cells.append((l, q))
-    return cells, finite
-
-
-# A target partition with its class signature: the sorted homology class
-# keys of its vectors and how many vectors fall in each class.
-_Target = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...], Tuple[int, ...]]
-
-
-def _cell_outcome(
-    n: int,
-    d: DegreeTuple,
-    dp: DegreeTuple,
-    l: int,
-    q: int,
-    target_partitions: Callable[[int], Optional[List[_Target]]],
-    assignments: Callable[[Tuple[int, ...], Tuple[int, ...]], Tuple[Tuple[int, ...], ...]],
-    feasibility: HomFeasibility,
-    call_cap: int,
-    deadline: Optional[float],
-) -> Tuple[str, int, Optional[FeasibilityWitness]]:
-    """Exhaust one (l, q) cell.
-
-    Returns (status, calls, witness) with status one of "FEASIBLE", "DONE",
-    "ABORT".  Every assignment tried is one call, whether or not the same
-    class pairs were asked before, so the call count at any point is a pure
-    function of (cell, call_cap).
-
-    ``target_partitions(l)`` gives the classified target partitions of l,
-    or None when the deadline passed while building them; it is asked only
-    once the cell has a source partition, so a cell with none builds
-    nothing.  A target partition with more classes than the source
-    partition has groups admits no assignment, so it is skipped before
-    ``assignments`` (the ``_assignments`` of a pair of group and class
-    sizes) is asked, and costs 0 calls.
-    """
-    calls = 0
-    scaled = tuple(q * e for e in d)
-    if sum(scaled) < l:  # cannot split q*d into l nonzero parts
-        return "DONE", 0, None
-    y_partitions: Optional[List[_Target]] = None
-    for xs in enumerate_vector_partitions(scaled, l, min(n, len(d))):
-        if deadline is not None and time.monotonic() > deadline:
-            return "ABORT", calls, None
-        if y_partitions is None:
-            y_partitions = target_partitions(l)
-            if y_partitions is None:
-                return "ABORT", calls, None
-        x_keys = [homology_reduce(x, d).coordinates for x in xs]
-        x_groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        for key, x in zip(x_keys, xs):
-            x_groups.setdefault(key, []).append(x)
-        g_keys = sorted(x_groups)
-        g_sizes = tuple(len(x_groups[key]) for key in g_keys)
-        for ys, h_keys, h_sizes in y_partitions:
-            if len(h_sizes) > len(g_sizes):
-                continue
-            if deadline is not None and time.monotonic() > deadline:
-                return "ABORT", calls, None
-            for f in assignments(g_sizes, h_sizes):
-                calls += 1
-                if calls > call_cap:
-                    return "ABORT", calls, None
-                if not feasibility.exists(
-                    [(g_keys[g], h_keys[f[g]]) for g in range(len(g_keys))]
-                ):
-                    continue
-                y_classes: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-                for y in ys:
-                    y_classes.setdefault(homology_reduce(y, dp).coordinates, []).append(y)
-                image = {key: y_classes[h_keys[h]] for key, h in zip(g_keys, f)}
-                rep_pairs = [(x_groups[key][0], image[key][0]) for key in g_keys]
-                mat = hom_exists(d, dp, rep_pairs)
-                assert mat is not None
-                ys_aligned = [image[key].pop(0) for key in x_keys]
-                witness = FeasibilityWitness(
-                    n, d, dp, l, q, tuple(xs), tuple(ys_aligned), mat
-                )
-                assert not check_feasibility_witness(witness)
-                return "FEASIBLE", calls, witness
-    return "DONE", calls, None
-
-
 def witness_search(
     n: int,
     source: Sequence[int],
     target: Sequence[int],
     budget: Optional[Budget] = None,
-    threads: int = 1,
 ) -> SearchOutcome:
     """Decide feasibility of the formal-curve obstruction system.
 
-    Explores the (l, q) grid in ascending order.  Returns FEASIBLE with a
-    validated witness, INFEASIBLE only when the grid is provably exhaustive
-    (total source degree > n + 1) and fully explored, and BUDGET_EXCEEDED
-    otherwise.  In the boundary case sum(d) = n + 1 the q-range is
-    unbounded, so no finite exploration can prove infeasibility and the
-    fallback is always BUDGET_EXCEEDED.
+    Explores the (l, q) grid in ascending order of l, then q.  Returns
+    FEASIBLE with a validated witness, INFEASIBLE only when the grid is
+    provably exhaustive (total source degree > n + 1) and fully explored,
+    and BUDGET_EXCEEDED otherwise.  In the boundary case sum(d) = n + 1 the
+    q-range is unbounded, so no finite exploration can prove infeasibility
+    and the fallback is always BUDGET_EXCEEDED.
+
+    Every assignment tried is one call, whether or not the same class pairs
+    were asked before, so the call count at any point is a pure function of
+    the query and the budget.  ``call_cap`` bounds the running total of the
+    whole search: the call that would exceed it stops the search, so a
+    capped search reports exactly ``call_cap + 1`` calls.
 
     The target partitions of l are listed only when a cell of that l has a
     source partition to pair them with, and the list is dropped once the
     grid moves past l.  Each target partition is classified once, when it
-    is listed; the cells of l then skip, at 0 calls, every one with more
-    classes than their source partition has groups.  The assignments of
-    each pair of group and class sizes are listed once per search; each one
-    tried is still one call.
-
-    The search runs sequentially; ``threads`` must be a positive integer
-    and is accepted for compatibility, but does not change how it runs.
+    is listed; a source partition then skips, at 0 calls, every one with
+    more classes than it has groups, since none admits an assignment.  The
+    assignments of each pair of group and class sizes are listed once per
+    search.
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
@@ -473,15 +383,16 @@ def witness_search(
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
     budget = budget or Budget()
-    if not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     sd, sdp = d.total(), dp.total()
     if sd < n + 1 or sdp < n + 1:
         raise HypothesisViolated(
             f"witness search requires both degree sums >= n + 1 = {n + 1}; "
             f"got {sd} and {sdp}"
         )
-    cells, finite = _grid_cells(n, sd, sdp, budget)
+    finite = sd > n + 1
+    q_maxes = [
+        (l - n - 1) // (sd - n - 1) if finite else budget.q_cap for l in range(sd, sdp + 1)
+    ]
     bounds: dict = {
         "sum_source": sd,
         "sum_target": sdp,
@@ -489,61 +400,85 @@ def witness_search(
         "l_range_empty": sd > sdp,
         "q_range_finite": finite,
         "q_cap_applied": None if finite else budget.q_cap,
-        "cells_total": len(cells),
+        "cells_total": sum(q_maxes),
         "calls_used": 0,
         "exhausted": False,
     }
-    if sd > sdp:
-        return SearchOutcome(INFEASIBLE, None, {**bounds, "exhausted": True}, 0)
+    calls = 0
 
+    def finish(status: str, witness: Optional[FeasibilityWitness] = None) -> SearchOutcome:
+        bounds["calls_used"] = calls
+        bounds["exhausted"] = status == INFEASIBLE
+        return SearchOutcome(status, witness, bounds, calls)
+
+    if sd > sdp:
+        return finish(INFEASIBLE)
     deadline = time.monotonic() + budget.time_cap if budget.time_cap else None
     feasibility = HomFeasibility(d, dp)
     y_class: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    y_cache: Dict[int, List[_Target]] = {}  # at most the list of the current l
-
-    def target_partitions(l: int) -> Optional[List[_Target]]:
-        # None when the deadline passes mid-build; a partial list is not cached
-        if l not in y_cache:
-            built = []
-            for ys in enumerate_vector_partitions(tuple(dp), l, len(dp)):
-                if deadline is not None and time.monotonic() > deadline:
-                    return None
-                counts: Dict[Tuple[int, ...], int] = {}
-                for y in ys:
-                    key = y_class.get(y)
-                    if key is None:
-                        key = y_class[y] = homology_reduce(y, dp).coordinates
-                    counts[key] = counts.get(key, 0) + 1
-                h_keys = tuple(sorted(counts))
-                built.append((ys, h_keys, tuple(counts[key] for key in h_keys)))
-            y_cache[l] = built
-        return y_cache[l]
 
     @functools.cache
     def assignments(
         g_sizes: Tuple[int, ...], h_sizes: Tuple[int, ...]
     ) -> Tuple[Tuple[int, ...], ...]:
-        # one cell reads at most call_cap + 1 of them before it aborts
+        # the search reads at most call_cap + 1 of them before it stops
         return tuple(itertools.islice(_assignments(g_sizes, h_sizes), budget.call_cap + 1))
 
-    cum = 0
-    for l, q in cells:
-        if l not in y_cache:
-            y_cache.clear()  # cells come in ascending l: no later cell reads it
-        status, calls, witness = _cell_outcome(
-            n, d, dp, l, q, target_partitions, assignments, feasibility,
-            budget.call_cap, deadline,
-        )
-        cum += calls
-        bounds["calls_used"] = cum
-        if status == "FEASIBLE" and cum <= budget.call_cap:
-            return SearchOutcome(FEASIBLE, witness, bounds, cum)
-        if status == "ABORT" or cum > budget.call_cap:
-            return SearchOutcome(BUDGET_EXCEEDED, None, bounds, cum)
-    if finite:
-        bounds["exhausted"] = True
-        return SearchOutcome(INFEASIBLE, None, bounds, cum)
-    return SearchOutcome(BUDGET_EXCEEDED, None, bounds, cum)
+    for l, q_max in zip(range(sd, sdp + 1), q_maxes):
+        # each target partition of l with its sorted class keys and counts
+        y_partitions: Optional[list] = None
+        for q in range(1, q_max + 1):
+            if q * sd < l:  # cannot split q*d into l nonzero parts
+                continue
+            for xs in enumerate_vector_partitions(tuple(q * e for e in d), l, min(n, len(d))):
+                if deadline is not None and time.monotonic() > deadline:
+                    return finish(BUDGET_EXCEEDED)
+                if y_partitions is None:
+                    y_partitions = []
+                    for ys in enumerate_vector_partitions(tuple(dp), l, len(dp)):
+                        if deadline is not None and time.monotonic() > deadline:
+                            return finish(BUDGET_EXCEEDED)
+                        counts: Dict[Tuple[int, ...], int] = {}
+                        for y in ys:
+                            key = y_class.get(y)
+                            if key is None:
+                                key = y_class[y] = homology_reduce(y, dp).coordinates
+                            counts[key] = counts.get(key, 0) + 1
+                        h_keys = tuple(sorted(counts))
+                        y_partitions.append((ys, h_keys, tuple(counts[key] for key in h_keys)))
+                x_keys = [homology_reduce(x, d).coordinates for x in xs]
+                x_groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+                for key, x in zip(x_keys, xs):
+                    x_groups.setdefault(key, []).append(x)
+                g_keys = sorted(x_groups)
+                g_sizes = tuple(len(x_groups[key]) for key in g_keys)
+                for ys, h_keys, h_sizes in y_partitions:
+                    if len(h_sizes) > len(g_sizes):
+                        continue
+                    if deadline is not None and time.monotonic() > deadline:
+                        return finish(BUDGET_EXCEEDED)
+                    for f in assignments(g_sizes, h_sizes):
+                        calls += 1
+                        if calls > budget.call_cap:
+                            return finish(BUDGET_EXCEEDED)
+                        if not feasibility.exists(
+                            [(g_keys[g], h_keys[f[g]]) for g in range(len(g_keys))]
+                        ):
+                            continue
+                        y_classes: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+                        for y in ys:
+                            y_classes.setdefault(y_class[y], []).append(y)
+                        image = {key: y_classes[h_keys[h]] for key, h in zip(g_keys, f)}
+                        rep_pairs = [(x_groups[key][0], image[key][0]) for key in g_keys]
+                        mat = hom_exists(d, dp, rep_pairs)
+                        assert mat is not None
+                        ys_aligned = [image[key].pop(0) for key in x_keys]
+                        witness = FeasibilityWitness(
+                            n, d, dp, l, q, tuple(xs), tuple(ys_aligned), mat
+                        )
+                        assert not check_feasibility_witness(witness)
+                        return finish(FEASIBLE, witness)
+    return finish(INFEASIBLE if finite else BUDGET_EXCEEDED)
 
 
 def _certificate(
@@ -650,9 +585,12 @@ def decide(
 
     YES verdicts carry witnesses, NO verdicts carry certificates, and the
     ``search_bounds`` attribute documents the explored grid whenever the
-    search ran.
+    search ran.  ``threads`` must be a positive int on every rung; the
+    search runs sequentially whatever its value.
     """
     _check_query(n, mode)
+    if not _is_int(threads) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
     budget = budget or Budget()
@@ -691,7 +629,7 @@ def decide(
 
     sd, sdp = d.total(), dp.total()
     if sd >= n + 1 and sdp >= n + 1:  # outside the window: inside, its rule answered
-        outcome = witness_search(n, d, dp, budget, threads)
+        outcome = witness_search(n, d, dp, budget)
         if outcome.status == INFEASIBLE:
             return Verdict.no(
                 _certificate(
@@ -780,8 +718,11 @@ def verify_verdict(
 ) -> bool:
     """Replay a verdict's evidence against the query it claims to answer.
 
-    A NO verifies only if its certificate names this query, mode included,
-    and replays (see :func:`replay_certificate`).
+    A YES verifies only if its witness replays from this source (or, in
+    symplectic mode, from the source's gcd component) to this target; a
+    witness of another type or shape does not.  A NO verifies only if its
+    certificate names this query, mode included, and replays (see
+    :func:`replay_certificate`).
     """
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
@@ -790,10 +731,11 @@ def verify_verdict(
         if isinstance(w, MoveSequence):
             return w.source == d and w.target == dp and w.is_valid()
         if isinstance(w, dict) and w.get("type") == "component_inclusion_then_moves":
-            g = w["component_degree"]
-            moves = w["moves"]
+            g = w.get("component_degree")
+            moves = w.get("moves")
             return (
                 mode == SYMPLECTIC
+                and isinstance(moves, MoveSequence)
                 and g in d
                 and g == d.gcd()
                 and dp.gcd() % g == 0

@@ -266,7 +266,7 @@ class TestWitnessSearch:
     def test_call_cap_respected(self):
         out = witness_search(2, (3,), (4, 2), Budget(q_cap=4, call_cap=10))
         assert out.status == "BUDGET_EXCEEDED"
-        assert out.calls_used <= 10 + 1  # at most one cell past the cap
+        assert out.calls_used == 10 + 1  # the call past the cap stops the search
 
     @pytest.mark.parametrize(
         "n, src, dst, budget, status, calls",
@@ -275,10 +275,13 @@ class TestWitnessSearch:
             (2, (3, 1), (2, 2, 2), None, "INFEASIBLE", 768),
             (3, (4, 4), (9, 8), Budget(call_cap=2000), "BUDGET_EXCEEDED", 2001),
             (3, (4, 3), (9, 9), Budget(call_cap=2000), "BUDGET_EXCEEDED", 2001),
+            (2, (3, 3), (7, 7), Budget(call_cap=5000), "BUDGET_EXCEEDED", 5001),
+            (2, (3, 1), (2, 2, 2), Budget(call_cap=500), "BUDGET_EXCEEDED", 501),
         ],
     )
     def test_pinned_call_counts(self, n, src, dst, budget, status, calls):
-        # every assignment tried is one call, repeated class pairs included
+        # every assignment tried is one call, repeated class pairs included;
+        # call_cap bounds the running total of the whole search, not of a cell
         out = witness_search(n, src, dst, budget)
         assert (out.status, out.calls_used) == (status, calls)
 
@@ -335,7 +338,8 @@ class TestWitnessSearch:
 
     def test_frozen_outcome_digest(self):
         # status, calls, bounds and witness of every query with source and
-        # target of sum <= 7 and at most 3 components, for n = 1..3
+        # target of sum <= 7 and at most 3 components, for n = 1..3; a
+        # capped search reports exactly call_cap + 1 = 3001 calls
         tuples = [d for d in canonical_tuples(7) if len(d) <= 3]
         digest = hashlib.sha256()
         count = feasible = 0
@@ -351,7 +355,7 @@ class TestWitnessSearch:
                 digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
         assert (count, feasible) == (2146, 676)
         assert digest.hexdigest() == (
-            "f2a1cc6fb24fe5f48db56cfc4c1eb985a5030c2ea65abf6eb8a3ea63c3671ec3"
+            "3676157aec68eb5608a4f6529390e93a3bf22dfd9f80955ec1bd888cdfafe705"
         )
 
     def test_feasible_witness_matrix_from_hom_exists(self):
@@ -364,22 +368,6 @@ class TestWitnessSearch:
             reps.setdefault(homology_reduce(x, w.source).coordinates, (x, y))
         pairs = [reps[key] for key in sorted(reps)]
         assert w.matrix == hom_exists(w.source, w.target, pairs)
-
-    def test_thread_count_does_not_change_outcome(self):
-        cases = [
-            (2, (1, 1, 1), (1, 1, 1)),
-            (2, (2, 2), (3, 3)),
-            (2, (3, 2), (4, 1)),
-            (3, (2, 2), (3, 2)),
-        ]
-        for n, src, dst in cases:
-            seq = witness_search(n, src, dst, threads=1)
-            par = witness_search(n, src, dst, threads=4)
-            assert seq.status == par.status, (n, src, dst)
-            assert seq.calls_used == par.calls_used, (n, src, dst)
-            if seq.witness is not None:
-                assert par.witness is not None
-                assert (seq.witness.l, seq.witness.q) == (par.witness.l, par.witness.q)
 
     def test_witness_checker_flags_corruption(self):
         out = witness_search(2, (1, 1, 1), (1, 1, 1))
@@ -500,6 +488,39 @@ class TestDecide:
         broken = Certificate(cert.rule, data, cert.search_bounds)
         assert not replay_certificate(broken)
         assert not verify_verdict(*query, LIOUVILLE, Verdict.no(broken))
+
+    def test_thread_count_does_not_change_outcome(self):
+        cases = [
+            (2, (1, 1, 1), (1, 1, 1)),
+            (2, (2, 2), (3, 3)),
+            (2, (3, 2), (4, 1)),
+            (3, (2, 2), (3, 2)),
+        ]
+        for n, src, dst in cases:
+            seq = decide(n, src, dst, threads=1)
+            par = decide(n, src, dst, threads=4)
+            assert seq.kind == par.kind, (n, src, dst)
+            assert seq.search_bounds == par.search_bounds, (n, src, dst)
+
+    @pytest.mark.parametrize("threads", [0, True])
+    @pytest.mark.parametrize(
+        "query", [(2, (3, 2, 2), (7, 2)), (2, (3, 3), (5, 5)), (2, (4, 2), (6, 2), SYMPLECTIC)],
+        ids=["order", "search", "symplectic"],
+    )
+    def test_rejects_bad_thread_count_on_every_rung(self, query, threads):
+        with pytest.raises(ValueError):
+            decide(*query, threads=threads)
+
+    @pytest.mark.parametrize("broken", ["no_moves", "no_component_degree", "moves_as_json"])
+    def test_malformed_symplectic_witness_does_not_stand(self, broken):
+        v = decide(2, (4, 2), (6, 2), SYMPLECTIC)
+        assert v.kind == YES and verify_verdict(2, (4, 2), (6, 2), SYMPLECTIC, v)
+        w = dict(v.witness)
+        if broken == "moves_as_json":
+            w["moves"] = w["moves"].to_json()
+        else:
+            del w[broken[len("no_"):]]
+        assert not verify_verdict(2, (4, 2), (6, 2), SYMPLECTIC, Verdict.yes(w))
 
     def test_symplectic_unknown_when_gcd_absent(self):
         v = decide(2, (4, 6), (8, 2), SYMPLECTIC)
