@@ -20,7 +20,7 @@ import sys
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from . import __version__
+from . import __version__, order
 from .engine import LIOUVILLE, MODES, Budget, decide
 from .indices import orbit_spectrum
 from .model import NO, UNKNOWN, YES, DegreeTuple, EmptyInput, NonPositiveEntry, _jsonify
@@ -227,9 +227,8 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     for total in range(n + 1, args.max_sum + 1):
         nodes.extend(DegreeTuple(p) for p in _integer_partitions(total))
     nodes.sort(key=lambda d: (d.total(), d))
-    below = {
-        (a, b): leqq(a, b)[0] for a in nodes for b in nodes if a != b
-    }
+    decompose = order.leqq_decomposition  # the answer alone: no move witness is built
+    below = {(a, b): decompose(a, b) is not None for a in nodes for b in nodes if a != b}
     covers = [
         (a, b)
         for (a, b), ok in below.items()

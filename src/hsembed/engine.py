@@ -44,7 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
-from .model import NO, UNKNOWN, YES, DegreeTuple, Verdict, _jsonify, homology_reduce
+from .model import NO, UNKNOWN, YES, DegreeTuple, Verdict, _is_int, _jsonify, homology_reduce
 from .order import MoveSequence, leqq
 
 LIOUVILLE = "liouville"
@@ -88,11 +88,13 @@ class Budget:
     time_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q_cap, int) or self.q_cap < 1:
+        if not _is_int(self.q_cap) or self.q_cap < 1:
             raise ValueError(f"q_cap must be a positive integer, got {self.q_cap!r}")
-        if not isinstance(self.call_cap, int) or self.call_cap < 1:
+        if not _is_int(self.call_cap) or self.call_cap < 1:
             raise ValueError(f"call_cap must be a positive integer, got {self.call_cap!r}")
-        if self.time_cap is not None and not self.time_cap > 0:
+        if self.time_cap is not None and (
+            isinstance(self.time_cap, bool) or not self.time_cap > 0
+        ):
             raise ValueError(f"time_cap must be positive or None, got {self.time_cap!r}")
 
     def to_json(self) -> dict:
@@ -310,10 +312,6 @@ def enumerate_vector_partitions(
     return split(tgt, parts, 0)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _assignments(
     group_sizes: Sequence[int], class_sizes: Sequence[int]
 ) -> Iterator[Tuple[int, ...]]:
@@ -378,7 +376,7 @@ def witness_search(
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
@@ -447,11 +445,11 @@ def witness_search(
                         h_keys = tuple(sorted(counts))
                         y_partitions.append((ys, h_keys, tuple(counts[key] for key in h_keys)))
                 x_keys = [homology_reduce(x, d).coordinates for x in xs]
-                x_groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-                for key, x in zip(x_keys, xs):
-                    x_groups.setdefault(key, []).append(x)
-                g_keys = sorted(x_groups)
-                g_sizes = tuple(len(x_groups[key]) for key in g_keys)
+                x_counts: Dict[Tuple[int, ...], int] = {}
+                for key in x_keys:
+                    x_counts[key] = x_counts.get(key, 0) + 1
+                g_keys = sorted(x_counts)
+                g_sizes = tuple(x_counts[key] for key in g_keys)
                 for ys, h_keys, h_sizes in y_partitions:
                     if len(h_sizes) > len(g_sizes):
                         continue
@@ -461,17 +459,15 @@ def witness_search(
                         calls += 1
                         if calls > budget.call_cap:
                             return finish(BUDGET_EXCEEDED)
-                        if not feasibility.exists(
-                            [(g_keys[g], h_keys[f[g]]) for g in range(len(g_keys))]
-                        ):
+                        pairs = [(g_keys[g], h_keys[f[g]]) for g in range(len(g_keys))]
+                        if not feasibility.exists(pairs):
                             continue
+                        mat = hom_exists(d, dp, pairs)
+                        assert mat is not None
                         y_classes: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
                         for y in ys:
                             y_classes.setdefault(y_class[y], []).append(y)
                         image = {key: y_classes[h_keys[h]] for key, h in zip(g_keys, f)}
-                        rep_pairs = [(x_groups[key][0], image[key][0]) for key in g_keys]
-                        mat = hom_exists(d, dp, rep_pairs)
-                        assert mat is not None
                         ys_aligned = [image[key].pop(0) for key in x_keys]
                         witness = FeasibilityWitness(
                             n, d, dp, l, q, tuple(xs), tuple(ys_aligned), mat
@@ -536,7 +532,7 @@ def _certificates(
 
 def _check_query(n: int, mode: str) -> None:
     """Raise ValueError unless n is a positive int and mode is one of MODES."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -719,10 +715,10 @@ def verify_verdict(
     """Replay a verdict's evidence against the query it claims to answer.
 
     A YES verifies only if its witness replays from this source (or, in
-    symplectic mode, from the source's gcd component) to this target; a
-    witness of another type or shape does not.  A NO verifies only if its
-    certificate names this query, mode included, and replays (see
-    :func:`replay_certificate`).
+    symplectic mode, from the source's gcd component, whose index and
+    degree the witness names) to this target; a witness of another type or
+    shape does not.  A NO verifies only if its certificate names this
+    query, mode included, and replays (see :func:`replay_certificate`).
     """
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
@@ -732,11 +728,15 @@ def verify_verdict(
             return w.source == d and w.target == dp and w.is_valid()
         if isinstance(w, dict) and w.get("type") == "component_inclusion_then_moves":
             g = w.get("component_degree")
+            i = w.get("component_index")
             moves = w.get("moves")
             return (
                 mode == SYMPLECTIC
                 and isinstance(moves, MoveSequence)
-                and g in d
+                and _is_int(i)
+                and 0 <= i < len(d)
+                and _is_int(g)
+                and d[i] == g
                 and g == d.gcd()
                 and dp.gcd() % g == 0
                 and moves.source == DegreeTuple((g,))

@@ -3,14 +3,13 @@
 Everything here runs on Python's arbitrary-precision integers; there is no
 floating point and no modular shortcut anywhere.  The two consumers are the
 homology layer (deciding whether a prescribed map of first-homology groups
-exists, which is a single linear Diophantine system) and the certificate
+exists, which is a linear Diophantine system) and the certificate
 checkers, which need the explicit unimodular transforms.
 
-The witness search asks the homology question many times for one pair of
-degree tuples, so :class:`HomFeasibility` factors the fixed parts of the
-system once and answers each query with a matrix-vector product and a
-divisibility check; :func:`hom_exists` solves the full system and is only
-needed to build the matrix of a witness.
+:class:`HomFeasibility` holds the one formulation of the homology system:
+it answers the witness search's many feasibility queries from factors it
+computes once, and solves the same system for the matrix of a witness;
+:func:`hom_exists` is a wrapper over the latter.
 
 Smith normal form is computed by classical gcd-driven row/column
 elimination with a minimal-|entry| pivot rule, which keeps intermediate
@@ -55,9 +54,6 @@ class IntMatrix:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntMatrix is immutable")
-
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.data[i]
 
     def column(self, j: int) -> Tuple[int, ...]:
         return tuple(r[j] for r in self.data)
@@ -245,28 +241,14 @@ def hom_exists(
     target_degrees: Sequence[int],
     pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
 ) -> Optional[IntMatrix]:
-    """Find a homomorphism H_1 of one complement -> H_1 of another with
-    prescribed values, or None.
+    """An integer matrix M inducing a homomorphism H_1 of one complement ->
+    H_1 of another that sends class(x) to class(y) for every (x, y) in
+    ``pairs``, or None when there is none.
 
-    H_1 of a k-component complement is Z^k modulo the degree vector.  A
-    homomorphism Z^k/(d) -> Z^k'/(d') is induced by any integer matrix M
-    with M d a multiple of d'; it sends the class of x to the class of M x.
-    Given ``pairs`` of (x_i, y_i), this searches for M with M x_i = y_i
-    modulo d' for all i, by solving the single linear Diophantine system in
-    the unknowns (entries of M row-major, the multiplier t with
-    M d = t d', and one shift s_i per pair):
-
-        sum_c M[r][c] * d[c]   - t   * d'[r] = 0        for each row r
-        sum_c M[r][c] * x_i[c] - s_i * d'[r] = y_i[r]   for each i, r
-
-    Returns the matrix M of a solution (deterministic, via the Smith normal
-    form route) or None when the system has no integer solution.  The
-    witness search decides feasibility with :class:`HomFeasibility` and
-    calls this only to build the matrix of the one feasible witness.
+    A wrapper over :meth:`HomFeasibility.matrix`, which describes the
+    system; the vectors may be any int sequences.
     """
-    d = DegreeTuple(degrees)
-    dp = DegreeTuple(target_degrees)
-    k, kp = len(d), len(dp)
+    k, kp = len(DegreeTuple(degrees)), len(DegreeTuple(target_degrees))
     plist = []
     for x, y in pairs:
         xv = tuple(int(c) for c in x)
@@ -276,50 +258,34 @@ def hom_exists(
         if len(yv) != kp:
             raise LengthMismatch(f"target vector length {len(yv)} != {kp}")
         plist.append((xv, yv))
-    l = len(plist)
-    ncols = kp * k + 1 + l
-    rows = []
-    rhs = []
-    for r in range(kp):
-        row = [0] * ncols
-        for c in range(k):
-            row[r * k + c] = d[c]
-        row[kp * k] = -dp[r]
-        rows.append(row)
-        rhs.append(0)
-    for i, (xv, yv) in enumerate(plist):
-        for r in range(kp):
-            row = [0] * ncols
-            for c in range(k):
-                row[r * k + c] = xv[c]
-            row[kp * k + 1 + i] = -dp[r]
-            rows.append(row)
-            rhs.append(yv[r])
-    sol = solve_diophantine(IntMatrix(rows), rhs)
-    if sol is None:
-        return None
-    x0, _ = sol
-    return IntMatrix([x0[r * k : (r + 1) * k] for r in range(kp)])
+    return HomFeasibility(degrees, target_degrees).matrix(plist)
 
 
 class HomFeasibility:
-    """Many :func:`hom_exists` feasibility queries for one pair of degree
-    tuples, each answered without a new Smith normal form.
+    """The homomorphism system for one pair of degree tuples d and d'.
+
+    H_1 of a k-component complement is Z^k modulo the degree vector d.  A
+    homomorphism Z^k/(d) -> Z^k'/(d') is induced by any integer matrix M
+    with M d a multiple of d'; it sends the class of x to the class of M x.
+    Given pairs (x_1, y_1), ..., (x_L, y_L), the system asks for M with
+    M d = t d' and M x_i - y_i = s_i d' for integers t and s_i.
 
     Choose W unimodular with W d' = (g', 0, ..., 0) and write N = W M.  The
-    system of :func:`hom_exists` then splits into independent rows of N.
-    With A = [d; x_1; ...; x_L] and b_r = (0, (W y_1)_r, ..., (W y_L)_r),
-    row r >= 1 must solve A n = b_r exactly and row 0 must solve it modulo
-    g'.  If U A V = D is a Smith normal form, A n = b is solvable iff every
+    system then splits into independent rows of N.  With
+    A = [d; x_1; ...; x_L] and b_r = (0, (W y_1)_r, ..., (W y_L)_r), row
+    r >= 1 must solve A n = b_r exactly and row 0 must solve it modulo g'.
+    If U A V = D is a Smith normal form, A n = b is solvable iff every
     (U b)_i is divisible by D_ii (and is zero where D_ii = 0), and
     A n = b mod g' is solvable iff every (U b)_i is divisible by
     gcd(D_ii, g') (Kannan and Bachem 1979; Cohen, A Course in Computational
     Algebraic Number Theory, section 2.4).
 
-    W is computed once; (U, D) once per distinct tuple of source vectors and
+    :meth:`exists` answers the many feasibility queries of a search: W is
+    computed once, (U, D) once per distinct tuple of source vectors and
     W y once per distinct target vector, so a repeated query costs a small
-    matrix-vector product and the divisibility checks.  Vectors must be
-    tuples of ints, because they are cache keys.
+    matrix-vector product and the divisibility checks.  :meth:`matrix`
+    solves the same rows for a witness.  Vectors must be tuples of ints,
+    because they are cache keys.
     """
 
     def __init__(self, degrees: Sequence[int], target_degrees: Sequence[int]) -> None:
@@ -333,7 +299,7 @@ class HomFeasibility:
         self._checks: Dict[tuple, List[Tuple[Tuple[int, ...], int, int]]] = {}
 
     def exists(self, pairs: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]]) -> bool:
-        """Whether ``hom_exists(degrees, target_degrees, pairs)`` finds a matrix."""
+        """Whether the system for ``pairs`` has an integer solution."""
         sources = tuple(x for x, _ in pairs)
         checks = self._checks.get(sources)
         if checks is None:
@@ -353,12 +319,40 @@ class HomFeasibility:
                     return False
         return True
 
-    def _factor(self, sources: tuple) -> List[Tuple[Tuple[int, ...], int, int]]:
+    def matrix(
+        self, pairs: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+    ) -> Optional[IntMatrix]:
+        """The matrix M of one solution of the system for ``pairs``, or None
+        exactly when :meth:`exists` is False; deterministic.
+
+        Row 0 of N solves [A | g' I] n = b_0, rows r >= 1 solve A n = b_r,
+        and M = W^-1 N with W^-1 = V_2 U_2 from the Smith form U_2 W V_2 = I.
+        """
+        a = self._source_matrix(tuple(x for x, _ in pairs))
+        columns = [self._image(y) for _, y in pairs]
+        g, m = self._g, a.rows
+        # [A | g' I]: one extra unknown per equation absorbs a multiple of g'
+        shifted = IntMatrix(
+            [(*row, *(g if i == j else 0 for j in range(m))) for i, row in enumerate(a.data)]
+        )
+        rows = []
+        for r in range(len(self.target_degrees)):
+            sol = solve_diophantine(a if r else shifted, [0, *(b[r] for b in columns)])
+            if sol is None:
+                return None
+            rows.append(sol[0][: a.cols])
+        snf = smith_normal_form(self._w)
+        return snf.v.mul(snf.u).mul(IntMatrix(rows))
+
+    def _source_matrix(self, sources: tuple) -> IntMatrix:
         k = len(self.degrees)
         for x in sources:
             if len(x) != k:
                 raise LengthMismatch(f"source vector length {len(x)} != {k}")
-        snf = smith_normal_form(IntMatrix([self.degrees, *sources]))
+        return IntMatrix([self.degrees, *sources])
+
+    def _factor(self, sources: tuple) -> List[Tuple[Tuple[int, ...], int, int]]:
+        snf = smith_normal_form(self._source_matrix(sources))
         diag = snf.diagonal()
         checks = []
         for i, row in enumerate(snf.u.data):

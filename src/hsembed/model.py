@@ -35,6 +35,10 @@ class LengthMismatch(ValueError):
     """Raised when a vector's length disagrees with the ambient tuple."""
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class DegreeTuple(tuple):
     """Canonical unordered tuple of positive hypersurface degrees.
 
@@ -58,7 +62,7 @@ class DegreeTuple(tuple):
         if not items:
             raise EmptyInput("degree tuple must contain at least one entry")
         for e in items:
-            if not isinstance(e, int) or e < 1:
+            if not _is_int(e) or e < 1:
                 raise NonPositiveEntry(
                     f"degree entries must be positive integers, got {e!r}"
                 )

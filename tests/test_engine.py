@@ -213,7 +213,9 @@ class TestQuickChecks:
             tampered = Certificate(rule, {**cert.data, field: changed}, cert.search_bounds)
             assert not replay_certificate(tampered), tampered
 
-    @pytest.mark.parametrize("n, mode", [(2, "contact"), (0, LIOUVILLE), (2.0, LIOUVILLE)])
+    @pytest.mark.parametrize(
+        "n, mode", [(2, "contact"), (0, LIOUVILLE), (2.0, LIOUVILLE), (True, LIOUVILLE)]
+    )
     def test_rejects_what_decide_rejects(self, n, mode):
         with pytest.raises(ValueError):
             decide(n, (4, 2), (3,), mode)
@@ -262,6 +264,20 @@ class TestWitnessSearch:
     def test_hypothesis_guard(self):
         with pytest.raises(HypothesisViolated):
             witness_search(2, (2,), (4, 2))
+
+    @pytest.mark.parametrize("n", [True, 0, 2.0])
+    def test_rejects_bad_dimension(self, n):
+        with pytest.raises(ValueError, match="complex dimension"):
+            witness_search(n, (3,), (4,))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("q_cap", True), ("call_cap", True), ("time_cap", True),
+         ("q_cap", 0), ("call_cap", 1.5), ("time_cap", 0)],
+    )
+    def test_budget_rejects_bad_caps(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Budget(**{field: value})
 
     def test_call_cap_respected(self):
         out = witness_search(2, (3,), (4, 2), Budget(q_cap=4, call_cap=10))
@@ -355,19 +371,19 @@ class TestWitnessSearch:
                 digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
         assert (count, feasible) == (2146, 676)
         assert digest.hexdigest() == (
-            "3676157aec68eb5608a4f6529390e93a3bf22dfd9f80955ec1bd888cdfafe705"
+            "610647cbc4060b1c0ffcc11833c64c4483a23cd669252ad9d4cd463928ed8828"
         )
 
     def test_feasible_witness_matrix_from_hom_exists(self):
         out = witness_search(2, (2, 2), (4, 3))
         assert (out.status, out.calls_used) == ("FEASIBLE", 1)
         w = out.witness
-        # one representative pair per source class, in sorted class order
-        reps = {}
-        for x, y in zip(w.xs, w.ys):
-            reps.setdefault(homology_reduce(x, w.source).coordinates, (x, y))
-        pairs = [reps[key] for key in sorted(reps)]
-        assert w.matrix == hom_exists(w.source, w.target, pairs)
+        # the search's class-key pairs: one per source class, in sorted order
+        keys = {
+            homology_reduce(x, w.source).coordinates: homology_reduce(y, w.target).coordinates
+            for x, y in zip(w.xs, w.ys)
+        }
+        assert w.matrix == hom_exists(w.source, w.target, sorted(keys.items()))
 
     def test_witness_checker_flags_corruption(self):
         out = witness_search(2, (1, 1, 1), (1, 1, 1))
@@ -520,6 +536,24 @@ class TestDecide:
             w["moves"] = w["moves"].to_json()
         else:
             del w[broken[len("no_"):]]
+        assert not verify_verdict(2, (4, 2), (6, 2), SYMPLECTIC, Verdict.yes(w))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("component_index", 0),  # names the degree-4 component
+            ("component_index", -1),
+            ("component_index", 2),
+            ("component_index", True),
+            ("component_index", "junk"),
+            ("component_index", None),
+            ("component_degree", 2.0),
+        ],
+    )
+    def test_symplectic_witness_names_its_component(self, field, value):
+        v = decide(2, (4, 2), (6, 2), SYMPLECTIC)
+        assert v.witness["component_index"] == 1
+        w = {**v.witness, field: value}
         assert not verify_verdict(2, (4, 2), (6, 2), SYMPLECTIC, Verdict.yes(w))
 
     def test_symplectic_unknown_when_gcd_absent(self):

@@ -240,16 +240,32 @@ def hom_queries(draw):
     return d, dp, draw(st.lists(pair, max_size=4))
 
 
+def on_target_line(vec, target):
+    """Whether vec is an integer multiple of the target degree vector."""
+    t = vec[0] // target[0]
+    return all(v == t * e for v, e in zip(vec, target))
+
+
 class TestHomFeasibility:
     @given(hom_queries())
     @settings(max_examples=300, deadline=None)
-    def test_agrees_with_hom_exists(self, query):
+    def test_agrees_with_full_system(self, query):
+        # the reference solves the whole system in one piece, with unknowns
+        # M row-major, t and one s_i per pair
         d, dp, pairs = query
+        rows, rhs = hom_system(d, dp, pairs)
+        expected = solve_diophantine(IntMatrix(rows), rhs) is not None
         check = HomFeasibility(d, dp)
-        expected = hom_exists(d, dp, pairs) is not None
         assert check.exists(pairs) == expected
         # a second, cached answer is the same
         assert check.exists(pairs) == expected
+        m = check.matrix(pairs)
+        assert (m is not None) == expected
+        if m is not None:
+            assert (m.rows, m.cols) == (len(dp), len(d))
+            assert on_target_line(m.vecmul(d), dp)
+            for x, y in pairs:
+                assert on_target_line([a - b for a, b in zip(m.vecmul(x), y)], dp)
 
     @pytest.mark.parametrize(
         "degrees, target, pairs, box",
@@ -273,7 +289,8 @@ class TestHomFeasibility:
 
     def test_length_mismatch(self):
         check = HomFeasibility((2,), (4, 2))
-        with pytest.raises(LengthMismatch):
-            check.exists([((1, 1), (1, 1))])
-        with pytest.raises(LengthMismatch):
-            check.exists([((2,), (1,))])
+        for query in (check.exists, check.matrix):
+            with pytest.raises(LengthMismatch):
+                query([((1, 1), (1, 1))])
+            with pytest.raises(LengthMismatch):
+                query([((2,), (1,))])

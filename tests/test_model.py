@@ -37,7 +37,7 @@ class TestDegreeTuple:
         with pytest.raises(EmptyInput):
             DegreeTuple([])
 
-    @pytest.mark.parametrize("bad", [[0], [3, -1], [2, 0, 1]])
+    @pytest.mark.parametrize("bad", [[0], [3, -1], [2, 0, 1], [True, 2]])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(NonPositiveEntry):
             DegreeTuple(bad)
