@@ -219,6 +219,15 @@ def _integer_partitions(total: int) -> List[Tuple[int, ...]]:
 
 
 def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
+    # The order is the closure of the one-move graph on the nodes.  A move
+    # never lowers the entry sum, so every state on a move path between two
+    # nodes is itself a node: a <= b iff b is reachable from a by moves
+    # through nodes, and every cover is a single move.  A combine makes the
+    # tuple lexicographically larger at the same sum and a duplicate raises
+    # the sum, so successors sort after their node; one sweep in reverse
+    # builds each node's reachable set (a bitset over node positions) from
+    # its successors' and keeps the successors that no other successor
+    # reaches: the transitive reduction of a DAG (Aho, Garey & Ullman 1972).
     n = _require_positive(args.n, "--n")
     threads = _require_positive(args.threads, "--threads")
     if args.max_sum < 0:
@@ -227,18 +236,21 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     for total in range(n + 1, args.max_sum + 1):
         nodes.extend(DegreeTuple(p) for p in _integer_partitions(total))
     nodes.sort(key=lambda d: (d.total(), d))
-    decompose = order.leqq_decomposition  # the answer alone: no move witness is built
-    below = {(a, b): decompose(a, b) is not None for a in nodes for b in nodes if a != b}
-    covers = [
-        (a, b)
-        for (a, b), ok in below.items()
-        if ok
-        and not any(
-            below.get((a, c)) and below.get((c, b))
-            for c in nodes
-            if c != a and c != b
-        )
-    ]
+    position = {d: i for i, d in enumerate(nodes)}
+    reach = [0] * len(nodes)
+    covers: List[Tuple[DegreeTuple, DegreeTuple]] = []
+    for i in range(len(nodes) - 1, -1, -1):
+        a = nodes[i]
+        succ = {mv.apply(a) for mv in order._successor_moves(a)}
+        succ_pos = [position[t] for t in succ if t in position]
+        implied = 0
+        for j in succ_pos:
+            implied |= reach[j]
+        reach[i] = implied
+        for j in succ_pos:
+            reach[i] |= 1 << j
+            if not implied >> j & 1:
+                covers.append((a, nodes[j]))
     covers.sort(key=lambda e: (e[0].total(), e[0], e[1].total(), e[1]))
 
     def node_id(d: DegreeTuple) -> str:

@@ -79,8 +79,9 @@ class Budget:
     ``call_cap`` is a hard bound on the running total of logical
     homomorphism queries of one search; a search that reaches it stops at
     the next query and reports ``call_cap + 1`` calls.  ``time_cap`` is a
-    wall-clock limit in seconds and is the one knob that trades
-    determinism for latency (leave it None for reproducible runs).
+    wall-clock limit in seconds (a positive int or float) and is the one
+    knob that trades determinism for latency (leave it None for
+    reproducible runs).  A bad value of any field raises ValueError.
     """
 
     q_cap: int = 4
@@ -93,9 +94,11 @@ class Budget:
         if not _is_int(self.call_cap) or self.call_cap < 1:
             raise ValueError(f"call_cap must be a positive integer, got {self.call_cap!r}")
         if self.time_cap is not None and (
-            isinstance(self.time_cap, bool) or not self.time_cap > 0
+            isinstance(self.time_cap, bool)
+            or not isinstance(self.time_cap, (int, float))
+            or not self.time_cap > 0
         ):
-            raise ValueError(f"time_cap must be positive or None, got {self.time_cap!r}")
+            raise ValueError(f"time_cap must be a positive number or None, got {self.time_cap!r}")
 
     def to_json(self) -> dict:
         return {"q_cap": self.q_cap, "call_cap": self.call_cap, "time_cap": self.time_cap}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import factorial, gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, HomologyElement, LengthMismatch, homology_reduce
+from .model import DegreeTuple, HomologyElement, LengthMismatch, _is_int, homology_reduce
 
 MIN_MORSE_INDEX = 0
 
@@ -44,7 +44,7 @@ def _validate_wrapping(
 ) -> Tuple[Tuple[int, ...], int]:
     """The wrapping vector v of an orbit family in dimension n, as ints, and
     its support size; v must have ``length`` entries when that is given."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
     w = tuple(map(int, v))
     if length is not None and len(w) != length:
@@ -69,7 +69,7 @@ def cz_index(n: int, v: Sequence[int], morse_index: int) -> int:
     """
     w, r = _validate_wrapping(n, v)
     top = 2 * n - r - 1
-    if not isinstance(morse_index, int) or not MIN_MORSE_INDEX <= morse_index <= top:
+    if not _is_int(morse_index) or not MIN_MORSE_INDEX <= morse_index <= top:
         raise InadmissibleOrbit(
             f"Morse index {morse_index!r} outside 0..{top} for support size {r}"
         )
@@ -114,7 +114,7 @@ class OrbitClass:
     def __post_init__(self) -> None:
         d = DegreeTuple(self.degrees)
         w, r = _validate_wrapping(self.n, self.v, len(d))
-        if not isinstance(self.delta, int) or not r - self.n <= self.delta <= self.n - 1:
+        if not _is_int(self.delta) or not r - self.n <= self.delta <= self.n - 1:
             raise InadmissibleOrbit(
                 f"delta {self.delta!r} outside {r - self.n}..{self.n - 1} "
                 f"for support size {r}"
@@ -169,9 +169,9 @@ def orbit_spectrum(n: int, degrees: Sequence[int], action_cap: int) -> List[Orbi
     stands for a whole (2n - r - 1)-dimensional family worth of orbits, and
     no multiplicity counts are implied.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
-    if not isinstance(action_cap, int) or action_cap < 0:
+    if not _is_int(action_cap) or action_cap < 0:
         raise ValueError(f"action cap must be a nonnegative integer, got {action_cap!r}")
     d = DegreeTuple(degrees)
     k = len(d)
@@ -219,10 +219,10 @@ class FormalCurveSpec:
     def __post_init__(self) -> None:
         d = DegreeTuple(self.degrees)
         ends = tuple(self.positive_ends)
-        if not isinstance(self.q, int) or self.q < 0:
+        if not _is_int(self.q) or self.q < 0:
             raise ValueError(f"capping degree must be a nonnegative integer, got {self.q!r}")
         if self.tangency_order is not None and (
-            not isinstance(self.tangency_order, int) or self.tangency_order < 1
+            not _is_int(self.tangency_order) or self.tangency_order < 1
         ):
             raise ValueError(
                 f"tangency order must be a positive integer or None, got {self.tangency_order!r}"
@@ -298,7 +298,7 @@ def fredholm_index(
     neg = list(cz_negative)
     idx = (n - 3) * (2 - len(pos) - len(neg)) + sum(pos) - sum(neg) + 2 * chern_term
     if tangency_order is not None:
-        if not isinstance(tangency_order, int) or tangency_order < 1:
+        if not _is_int(tangency_order) or tangency_order < 1:
             raise ValueError(
                 f"tangency order must be a positive integer or None, got {tangency_order!r}"
             )
@@ -330,7 +330,7 @@ def f_invariant(n: int, degrees: Sequence[int]) -> int:
     non-divisibility of targets' values by sources' is a NO certificate
     (valid in all modes, including almost-symplectic ones).
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
     g = DegreeTuple(degrees).gcd()
     return g // gcd(g, n + 1)
@@ -344,6 +344,6 @@ def gw_anchor(n: int) -> int:
     curve counts behind the obstruction engine; exposed for reference and
     for tests.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
     return factorial(n - 1)

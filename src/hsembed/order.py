@@ -28,7 +28,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple
+from .model import DegreeTuple, _is_int
 
 COMBINE = "combine"
 DUPLICATE = "duplicate"
@@ -349,8 +349,8 @@ def surface_embeds(genus: int, punctures: int, genus_t: int, punctures_t: int) -
     puncture counts.
     """
     for g, k in ((genus, punctures), (genus_t, punctures_t)):
-        if not isinstance(g, int) or g < 0:
+        if not _is_int(g) or g < 0:
             raise InvalidSurface(f"genus must be a nonnegative integer, got {g!r}")
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             raise InvalidSurface(f"puncture count must be a positive integer, got {k!r}")
     return genus <= genus_t and punctures - punctures_t <= genus_t - genus

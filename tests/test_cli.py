@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, JSON stability, record round-trips."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from hsembed import DegreeTuple, cli, leqq_decomposition
+from hsembed.order import _successor_moves
 
 EXE = [sys.executable, "-m", "hsembed.cli"]
 
@@ -147,6 +152,44 @@ class TestPosetCommand:
         edges = [ln for ln in r.stdout.splitlines() if "->" in ln]
         assert edges
         assert all('[label="YES"]' in e or '[label="NO"]' in e or '[label="UNKNOWN"]' in e for e in edges)
+
+
+class TestPosetOrder:
+    """``poset`` in process: the order it builds and the DOT it prints."""
+
+    BASELINE = Path(__file__).resolve().parent.parent / "perfbench" / "baseline.json"
+
+    def test_closure_matches_decomposition(self, tmp_path):
+        out = tmp_path / "poset.json"
+        assert cli.main(["poset", "--n", "2", "--max-sum", "7", "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        nodes = [DegreeTuple(d) for d in record["nodes"]]
+        covers = {(DegreeTuple(a), DegreeTuple(b)) for a, b in record["covers"]}
+        assert len(nodes) == 41
+        up = {a: [b for c, b in covers if c == a] for a in nodes}
+        above = {}
+        for a in nodes:
+            seen, stack = set(), list(up[a])
+            while stack:
+                b = stack.pop()
+                if b not in seen:
+                    seen.add(b)
+                    stack.extend(up[b])
+            above[a] = seen
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        assert len(pairs) == 1640
+        for a, b in pairs:
+            assert (b in above[a]) == (leqq_decomposition(a, b) is not None), (a, b)
+        for a, b in covers:
+            assert b in {mv.apply(a) for mv in _successor_moves(a)}, (a, b)
+            assert not any(b in above[c] for c in up[a] if c != b), (a, b)
+
+    @pytest.mark.parametrize("max_sum", ["5", "8"])
+    def test_dot_matches_benchmark_digest(self, max_sum, capsys):
+        expected = json.loads(self.BASELINE.read_text())["poset_dot_sha256"][max_sum]
+        assert cli.main(["poset", "--n", "2", "--max-sum", max_sum]) == 0
+        dot = capsys.readouterr().out
+        assert hashlib.sha256(dot.encode()).hexdigest() == expected
 
 
 class TestDeterminism:

@@ -273,7 +273,8 @@ class TestWitnessSearch:
     @pytest.mark.parametrize(
         "field, value",
         [("q_cap", True), ("call_cap", True), ("time_cap", True),
-         ("q_cap", 0), ("call_cap", 1.5), ("time_cap", 0)],
+         ("q_cap", 0), ("call_cap", 1.5), ("time_cap", 0),
+         ("time_cap", "5"), ("time_cap", [1])],
     )
     def test_budget_rejects_bad_caps(self, field, value):
         with pytest.raises(ValueError, match=field):

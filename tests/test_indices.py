@@ -210,3 +210,32 @@ class TestNumericInvariants:
     def test_gw_anchor(self):
         for n in range(1, 9):
             assert gw_anchor(n) == math.factorial(n - 1)
+
+
+class TestRejectsBools:
+    """Every integer argument check rejects True, which isinstance counts as an int."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: cz_index(True, (1,), 0), ValueError, "complex dimension"),
+            (lambda: cz_index(2, (1,), True), InadmissibleOrbit, "Morse index"),
+            (lambda: OrbitClass(2, (2, 1), (1, 0), delta=True), InadmissibleOrbit, "delta"),
+            (lambda: orbit_spectrum(True, (2, 1), 3), ValueError, "complex dimension"),
+            (lambda: orbit_spectrum(2, (2, 1), True), ValueError, "action cap"),
+            (lambda: FormalCurveSpec(2, (1,), (), True), ValueError, "capping degree"),
+            (lambda: FormalCurveSpec(2, (1,), (), 0, True), ValueError, "tangency order"),
+            (lambda: fredholm_index(2, [], tangency_order=True), ValueError, "tangency order"),
+            (lambda: f_invariant(True, (2, 1)), ValueError, "complex dimension"),
+            (lambda: gw_anchor(True), ValueError, "complex dimension"),
+        ],
+        ids=[
+            "cz_index-n", "cz_index-morse_index", "OrbitClass-delta",
+            "orbit_spectrum-n", "orbit_spectrum-action_cap", "FormalCurveSpec-q",
+            "FormalCurveSpec-tangency_order", "fredholm_index-tangency_order",
+            "f_invariant-n", "gw_anchor-n",
+        ],
+    )
+    def test_true_is_not_an_integer(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

@@ -175,3 +175,10 @@ class TestSurfaces:
     def test_rejects_negative_genus(self):
         with pytest.raises(InvalidSurface):
             surface_embeds(-1, 1, 0, 1)
+
+    @pytest.mark.parametrize(
+        "args", [(True, 1, 0, 1), (0, True, 0, 1), (0, 1, True, 1), (0, 1, 0, True)]
+    )
+    def test_rejects_bools(self, args):
+        with pytest.raises(InvalidSurface):
+            surface_embeds(*args)
