@@ -23,10 +23,12 @@ from typing import List, Optional, Sequence, Tuple
 from . import __version__, order
 from .engine import LIOUVILLE, MODES, Budget, decide
 from .indices import orbit_spectrum
-from .model import NO, UNKNOWN, YES, DegreeTuple, EmptyInput, NonPositiveEntry, _jsonify
+from .model import (
+    NO, UNKNOWN, YES, DegreeTuple, EmptyInput, NonPositiveEntry, _jsonify, _require_int,
+)
 from .order import leqq
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
@@ -65,10 +67,6 @@ def build_parser() -> _Parser:
         out.add_argument("--json", action="store_true", default=True, dest="as_json")
         out.add_argument("--human", action="store_false", dest="as_json")
         p.add_argument("--out", metavar="FILE", help="also write the full query record")
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted for compatibility; the search runs sequentially",
-        )
 
     p = sub.add_parser("decide", help="decide an embedding query with evidence")
     p.add_argument("--n", type=int, required=True, help="complex dimension")
@@ -78,6 +76,10 @@ def build_parser() -> _Parser:
     p.add_argument("--q-cap", type=int, default=4, dest="q_cap")
     p.add_argument("--call-cap", type=int, default=10**6, dest="call_cap")
     p.add_argument("--time-cap", type=float, default=None, dest="time_cap")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; the search runs sequentially",
+    )
     add_common(p)
 
     p = sub.add_parser("leqq", help="decide the constructive partial order")
@@ -99,12 +101,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _require_positive(value: int, flag: str) -> int:
-    if not isinstance(value, int) or value < 1:
-        raise UsageError(f"{flag} must be a positive integer, got {value!r}")
-    return value
-
-
 def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
@@ -121,10 +117,10 @@ def _record(command: str, inputs: dict, payload: dict) -> dict:
 
 
 def cmd_decide(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
-    n = _require_positive(args.n, "--n")
+    n = _require_int(args.n, "--n", 1, UsageError)
     source = _parse_degrees(args.source, "--source")
     target = _parse_degrees(args.target, "--target")
-    threads = _require_positive(args.threads, "--threads")
+    threads = _require_int(args.threads, "--threads", 1, UsageError)
     try:
         budget = Budget(q_cap=args.q_cap, call_cap=args.call_cap, time_cap=args.time_cap)
     except ValueError as exc:
@@ -162,9 +158,8 @@ def cmd_decide(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
 def cmd_leqq(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     source = _parse_degrees(args.source, "--source")
     target = _parse_degrees(args.target, "--target")
-    _require_positive(args.threads, "--threads")
     ok, moves = leqq(source, target)
-    inputs = {"source": list(source), "target": list(target), "threads": args.threads}
+    inputs = {"source": list(source), "target": list(target)}
     record = _record(
         "leqq",
         inputs,
@@ -181,18 +176,11 @@ def cmd_leqq(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
-    n = _require_positive(args.n, "--n")
+    n = _require_int(args.n, "--n", 1, UsageError)
     degrees = _parse_degrees(args.degrees, "--degrees")
-    _require_positive(args.threads, "--threads")
-    if args.action_cap < 0:
-        raise UsageError(f"--action-cap must be nonnegative, got {args.action_cap}")
+    _require_int(args.action_cap, "--action-cap", 0, UsageError)
     classes = orbit_spectrum(n, degrees, args.action_cap)
-    inputs = {
-        "n": n,
-        "degrees": list(degrees),
-        "action_cap": args.action_cap,
-        "threads": args.threads,
-    }
+    inputs = {"n": n, "degrees": list(degrees), "action_cap": args.action_cap}
     record = _record("spectrum", inputs, {"classes": [oc.to_json() for oc in classes]})
     lines = [f"{len(classes)} orbit classes with action <= {args.action_cap}"]
     for oc in classes:
@@ -228,10 +216,8 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     # builds each node's reachable set (a bitset over node positions) from
     # its successors' and keeps the successors that no other successor
     # reaches: the transitive reduction of a DAG (Aho, Garey & Ullman 1972).
-    n = _require_positive(args.n, "--n")
-    threads = _require_positive(args.threads, "--threads")
-    if args.max_sum < 0:
-        raise UsageError(f"--max-sum must be nonnegative, got {args.max_sum}")
+    n = _require_int(args.n, "--n", 1, UsageError)
+    _require_int(args.max_sum, "--max-sum", 0, UsageError)
     nodes: List[DegreeTuple] = []
     for total in range(n + 1, args.max_sum + 1):
         nodes.extend(DegreeTuple(p) for p in _integer_partitions(total))
@@ -260,11 +246,11 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     for d in nodes:
         dot.append(f'  "{node_id(d)}" [label="({node_id(d)})"];')
     for a, b in covers:
-        verdict = decide(n, a, b, args.mode, threads=threads)
+        verdict = decide(n, a, b, args.mode)
         dot.append(f'  "{node_id(a)}" -> "{node_id(b)}" [label="{verdict.kind}"];')
     dot.append("}")
     text = "\n".join(dot)
-    inputs = {"n": n, "max_sum": args.max_sum, "mode": args.mode, "threads": threads}
+    inputs = {"n": n, "max_sum": args.max_sum, "mode": args.mode}
     record = _record(
         "poset",
         inputs,

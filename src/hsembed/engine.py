@@ -44,7 +44,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
-from .model import NO, UNKNOWN, YES, DegreeTuple, Verdict, _is_int, _jsonify, homology_reduce
+from .model import (
+    NO, UNKNOWN, YES, DegreeTuple, Verdict, _is_int, _jsonify, _require_int, homology_reduce,
+)
 from .order import MoveSequence, leqq
 
 LIOUVILLE = "liouville"
@@ -89,10 +91,8 @@ class Budget:
     time_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not _is_int(self.q_cap) or self.q_cap < 1:
-            raise ValueError(f"q_cap must be a positive integer, got {self.q_cap!r}")
-        if not _is_int(self.call_cap) or self.call_cap < 1:
-            raise ValueError(f"call_cap must be a positive integer, got {self.call_cap!r}")
+        _require_int(self.q_cap, "q_cap")
+        _require_int(self.call_cap, "call_cap")
         if self.time_cap is not None and (
             isinstance(self.time_cap, bool)
             or not isinstance(self.time_cap, (int, float))
@@ -266,10 +266,8 @@ def enumerate_vector_partitions(
         raise ValueError(f"target entries must be integers, got {tgt!r}")
     if any(c < 0 for c in tgt) or not any(tgt):
         raise ValueError(f"target must be nonzero with nonnegative entries, got {tgt}")
-    if not _is_int(parts) or parts < 1:
-        raise ValueError(f"parts must be a positive integer, got {parts!r}")
-    if not _is_int(max_support) or max_support < 1:
-        raise ValueError(f"max_support must be a positive integer, got {max_support!r}")
+    _require_int(parts, "parts")
+    _require_int(max_support, "max_support")
     m = len(tgt)
 
     part_list: List[Tuple[int, ...]] = []
@@ -379,8 +377,7 @@ def witness_search(
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
+    _require_int(n, "complex dimension")
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
     budget = budget or Budget()
@@ -535,8 +532,7 @@ def _certificates(
 
 def _check_query(n: int, mode: str) -> None:
     """Raise ValueError unless n is a positive int and mode is one of MODES."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
+    _require_int(n, "complex dimension")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
@@ -588,8 +584,7 @@ def decide(
     search runs sequentially whatever its value.
     """
     _check_query(n, mode)
-    if not _is_int(threads) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+    _require_int(threads, "threads")
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
     budget = budget or Budget()

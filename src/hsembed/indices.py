@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from math import factorial, gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, HomologyElement, LengthMismatch, _is_int, homology_reduce
+from .model import (
+    DegreeTuple, HomologyElement, LengthMismatch, _is_int, _require_int, homology_reduce,
+)
 
 MIN_MORSE_INDEX = 0
 
@@ -44,8 +46,7 @@ def _validate_wrapping(
 ) -> Tuple[Tuple[int, ...], int]:
     """The wrapping vector v of an orbit family in dimension n, as ints, and
     its support size; v must have ``length`` entries when that is given."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
+    _require_int(n, "complex dimension")
     w = tuple(map(int, v))
     if length is not None and len(w) != length:
         raise LengthMismatch(f"wrapping length {len(w)} != {length} components")
@@ -169,10 +170,8 @@ def orbit_spectrum(n: int, degrees: Sequence[int], action_cap: int) -> List[Orbi
     stands for a whole (2n - r - 1)-dimensional family worth of orbits, and
     no multiplicity counts are implied.
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
-    if not _is_int(action_cap) or action_cap < 0:
-        raise ValueError(f"action cap must be a nonnegative integer, got {action_cap!r}")
+    _require_int(n, "complex dimension")
+    _require_int(action_cap, "action cap", 0)
     d = DegreeTuple(degrees)
     k = len(d)
     max_support = min(n, k)
@@ -219,14 +218,9 @@ class FormalCurveSpec:
     def __post_init__(self) -> None:
         d = DegreeTuple(self.degrees)
         ends = tuple(self.positive_ends)
-        if not _is_int(self.q) or self.q < 0:
-            raise ValueError(f"capping degree must be a nonnegative integer, got {self.q!r}")
-        if self.tangency_order is not None and (
-            not _is_int(self.tangency_order) or self.tangency_order < 1
-        ):
-            raise ValueError(
-                f"tangency order must be a positive integer or None, got {self.tangency_order!r}"
-            )
+        _require_int(self.q, "capping degree", 0)
+        if self.tangency_order is not None:
+            _require_int(self.tangency_order, "tangency order")
         for oc in ends:
             if oc.n != self.n or DegreeTuple(oc.degrees) != d:
                 raise InconsistentHomology(
@@ -258,16 +252,8 @@ class FormalCurveSpec:
         vector (InconsistentHomology otherwise); that multiple becomes q.
         """
         d = DegreeTuple(degrees)
-        total = [0] * len(d)
-        for oc in positive_ends:
-            for i, c in enumerate(oc.v):
-                total[i] += c
-        q, rem = divmod(total[0], d[0]) if total[0] else (0, 0)
-        if rem or any(total[i] != q * d[i] for i in range(len(d))):
-            raise InconsistentHomology(
-                f"end wrappings sum to {tuple(total)}, not a multiple of {tuple(d)}"
-            )
-        return cls(n, d, tuple(positive_ends), q, tangency_order)
+        ends = tuple(positive_ends)
+        return cls(n, d, ends, sum(oc.v[0] for oc in ends) // d[0], tangency_order)
 
     def to_json(self) -> dict:
         return {
@@ -298,11 +284,7 @@ def fredholm_index(
     neg = list(cz_negative)
     idx = (n - 3) * (2 - len(pos) - len(neg)) + sum(pos) - sum(neg) + 2 * chern_term
     if tangency_order is not None:
-        if not _is_int(tangency_order) or tangency_order < 1:
-            raise ValueError(
-                f"tangency order must be a positive integer or None, got {tangency_order!r}"
-            )
-        idx -= 2 * n + 2 * tangency_order - 2
+        idx -= 2 * n + 2 * _require_int(tangency_order, "tangency order") - 2
     return idx
 
 
@@ -330,8 +312,7 @@ def f_invariant(n: int, degrees: Sequence[int]) -> int:
     non-divisibility of targets' values by sources' is a NO certificate
     (valid in all modes, including almost-symplectic ones).
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
+    _require_int(n, "complex dimension")
     g = DegreeTuple(degrees).gcd()
     return g // gcd(g, n + 1)
 
@@ -344,6 +325,5 @@ def gw_anchor(n: int) -> int:
     curve counts behind the obstruction engine; exposed for reference and
     for tests.
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"complex dimension must be a positive integer, got {n!r}")
+    _require_int(n, "complex dimension")
     return factorial(n - 1)

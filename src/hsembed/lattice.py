@@ -248,17 +248,9 @@ def hom_exists(
     A wrapper over :meth:`HomFeasibility.matrix`, which describes the
     system; the vectors may be any int sequences.
     """
-    k, kp = len(DegreeTuple(degrees)), len(DegreeTuple(target_degrees))
-    plist = []
-    for x, y in pairs:
-        xv = tuple(int(c) for c in x)
-        yv = tuple(int(c) for c in y)
-        if len(xv) != k:
-            raise LengthMismatch(f"source vector length {len(xv)} != {k}")
-        if len(yv) != kp:
-            raise LengthMismatch(f"target vector length {len(yv)} != {kp}")
-        plist.append((xv, yv))
-    return HomFeasibility(degrees, target_degrees).matrix(plist)
+    return HomFeasibility(degrees, target_degrees).matrix(
+        [(tuple(int(c) for c in x), tuple(int(c) for c in y)) for x, y in pairs]
+    )
 
 
 class HomFeasibility:

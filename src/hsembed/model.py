@@ -39,6 +39,17 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_int(value: Any, what: str, minimum: int = 1, error: type = ValueError) -> int:
+    """``value`` when it is an int, not a bool, of at least ``minimum`` (1 or
+    0).  Otherwise raises ``error`` with the message "<what> must be a
+    positive integer, got <value!r>", or "must be a nonnegative integer"
+    when ``minimum`` is 0."""
+    if not _is_int(value) or value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise error(f"{what} must be a {kind} integer, got {value!r}")
+    return value
+
+
 class DegreeTuple(tuple):
     """Canonical unordered tuple of positive hypersurface degrees.
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, _is_int
+from .model import DegreeTuple, _require_int
 
 COMBINE = "combine"
 DUPLICATE = "duplicate"
@@ -49,7 +49,7 @@ class Move:
     ``combine`` merges entries at positions i < j; ``duplicate`` repeats the
     entry at position i.  After each move the tuple is re-canonicalized
     (sorted non-increasing), and the next move's indices refer to the new
-    ordering.
+    ordering.  Indices must be nonnegative ints (InvalidMove otherwise).
     """
 
     op: str
@@ -59,9 +59,11 @@ class Move:
     def __post_init__(self) -> None:
         if self.op not in (COMBINE, DUPLICATE):
             raise InvalidMove(f"unknown move op {self.op!r}")
+        _require_int(self.i, "move index", 0, InvalidMove)
         if self.op == COMBINE:
             if self.j is None:
                 raise InvalidMove("combine requires two indices")
+            _require_int(self.j, "move index", 0, InvalidMove)
         elif self.j is not None:
             raise InvalidMove("duplicate takes a single index")
 
@@ -349,8 +351,6 @@ def surface_embeds(genus: int, punctures: int, genus_t: int, punctures_t: int) -
     puncture counts.
     """
     for g, k in ((genus, punctures), (genus_t, punctures_t)):
-        if not _is_int(g) or g < 0:
-            raise InvalidSurface(f"genus must be a nonnegative integer, got {g!r}")
-        if not _is_int(k) or k < 1:
-            raise InvalidSurface(f"puncture count must be a positive integer, got {k!r}")
+        _require_int(g, "genus", 0, InvalidSurface)
+        _require_int(k, "puncture count", 1, InvalidSurface)
     return genus <= genus_t and punctures - punctures_t <= genus_t - genus

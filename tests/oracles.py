@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used to pin test values.
 
 Everything here is deliberately naive: small search boxes, rational
-arithmetic via fractions, no shared code with the package under test.
+arithmetic via fractions, no shared code with the package under test
+beyond the DegreeTuple type that ``canonical_tuples`` hands out.
 """
 
 from __future__ import annotations
@@ -10,6 +11,24 @@ import itertools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
+
+from hsembed import DegreeTuple
+
+
+def canonical_tuples(max_sum: int, min_sum: int = 1) -> List[DegreeTuple]:
+    """Every degree tuple with entry sum in [min_sum, max_sum], ordered by
+    (sum, tuple)."""
+    out = []
+
+    def rec(remaining, largest, prefix):
+        if not remaining:
+            out.append(DegreeTuple(prefix))
+        for part in range(min(largest, remaining), 0, -1):
+            rec(remaining - part, part, prefix + (part,))
+
+    for total in range(min_sum, max_sum + 1):
+        rec(total, total, ())
+    return sorted(out, key=lambda d: (d.total(), d))
 
 
 def det_bareiss(rows: Sequence[Sequence[int]]) -> int:

@@ -42,23 +42,7 @@ from hsembed import (
     witness_search,
 )
 
-from oracles import smallest_multiplier, solve_system_boxed
-
-
-def canonical_tuples(max_sum, min_sum=1):
-    out = set()
-
-    def rec(remaining, largest, prefix):
-        if prefix:
-            out.add(DegreeTuple(prefix))
-        for part in range(min(largest, remaining), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    for total in range(min_sum, max_sum + 1):
-        rec(total, total, ())
-    return sorted(
-        (d for d in out if d.total() >= min_sum), key=lambda d: (d.total(), d)
-    )
+from oracles import canonical_tuples, smallest_multiplier, solve_system_boxed
 
 
 def report(criterion, detail, elapsed, budget):

@@ -24,7 +24,7 @@ class TestDecideCommand:
         assert r.returncode == 0
         blob = json.loads(r.stdout)
         assert blob["verdict"]["kind"] == "YES"
-        assert blob["schema_version"] == 1
+        assert blob["schema_version"] == 2
 
     def test_no_exit_one(self):
         r = run_cli("decide", "--n", "2", "--source", "3", "--target", "4,2")
@@ -81,6 +81,7 @@ class TestUsageErrors:
             ("leqq", "--source", "1"),
             ("spectrum", "--n", "2", "--degrees", "1,1"),
             ("bogus",),
+            ("leqq", "--source", "3,2,2", "--target", "7,2", "--threads", "2"),
         ],
     )
     def test_exit_64_with_stderr(self, args):

@@ -40,23 +40,7 @@ from hsembed import (
     witness_search,
 )
 
-from oracles import partitions_of_vector
-
-
-def canonical_tuples(max_sum, min_sum=1):
-    out = []
-
-    def rec(remaining, largest, prefix):
-        if prefix:
-            out.append(DegreeTuple(prefix))
-        for part in range(min(largest, remaining), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    for total in range(min_sum, max_sum + 1):
-        rec(total, total, ())
-    return sorted(
-        {d for d in out if d.total() >= min_sum}, key=lambda d: (d.total(), d)
-    )
+from oracles import canonical_tuples, partitions_of_vector
 
 
 def _oracle_parts_cap(target):

@@ -20,26 +20,11 @@ from hsembed import (
     surface_embeds,
 )
 
-from oracles import surface_embeds_naive
+from oracles import canonical_tuples, surface_embeds_naive
 
 small_tuples = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4).map(
     lambda xs: DegreeTuple(xs)
 )
-
-
-def canonical_tuples(max_sum):
-    """All canonical degree tuples with component sum at most max_sum."""
-    out = []
-
-    def rec(remaining, largest, prefix):
-        if prefix:
-            out.append(DegreeTuple(prefix))
-        for part in range(min(largest, remaining), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    for total in range(1, max_sum + 1):
-        rec(total, total, ())
-    return sorted(set(out), key=lambda d: (d.total(), d))
 
 
 class TestMoves:
@@ -56,6 +41,14 @@ class TestMoves:
     def test_duplicate_takes_one_index(self):
         with pytest.raises(InvalidMove):
             Move(DUPLICATE, 0, 1)
+
+    @pytest.mark.parametrize(
+        "op, i, j",
+        [(DUPLICATE, True, None), (DUPLICATE, 1.0, None), (COMBINE, 0, 1.5), (COMBINE, 0, True)],
+    )
+    def test_index_must_be_an_int(self, op, i, j):
+        with pytest.raises(InvalidMove, match="move index"):
+            Move(op, i, j)
 
     def test_out_of_range_apply(self):
         with pytest.raises(InvalidMove):
