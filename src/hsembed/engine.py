@@ -45,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
 from .model import (
-    NO, UNKNOWN, YES, DegreeTuple, Verdict, _is_int, _jsonify, _require_int, homology_reduce,
+    NO, UNKNOWN, YES, DegreeTuple, Verdict, _is_int, _JsonFields, _require_int, homology_reduce,
 )
 from .order import MoveSequence, leqq
 
@@ -73,7 +73,7 @@ class HypothesisViolated(ValueError):
 
 
 @dataclass(frozen=True)
-class Budget:
+class Budget(_JsonFields):
     """Resource limits for the witness search.
 
     ``q_cap`` only matters when the q-range is infinite (total source
@@ -100,12 +100,9 @@ class Budget:
         ):
             raise ValueError(f"time_cap must be a positive number or None, got {self.time_cap!r}")
 
-    def to_json(self) -> dict:
-        return {"q_cap": self.q_cap, "call_cap": self.call_cap, "time_cap": self.time_cap}
-
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(_JsonFields):
     """Replayable evidence for a NO verdict.
 
     ``data`` is self-contained: it always embeds n, source, target, and
@@ -118,16 +115,9 @@ class Certificate:
     data: dict
     search_bounds: Optional[dict] = None
 
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "data": _jsonify(self.data),
-            "search_bounds": self.search_bounds,
-        }
-
 
 @dataclass(frozen=True)
-class FeasibilityWitness:
+class FeasibilityWitness(_JsonFields):
     """A solution of the formal-curve obstruction system.
 
     ``xs`` and ``ys`` are aligned: pair i is (xs[i], ys[i]).  ``matrix`` is
@@ -149,18 +139,6 @@ class FeasibilityWitness:
         object.__setattr__(self, "target", DegreeTuple(self.target))
         object.__setattr__(self, "xs", tuple(tuple(int(c) for c in v) for v in self.xs))
         object.__setattr__(self, "ys", tuple(tuple(int(c) for c in v) for v in self.ys))
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "source": list(self.source),
-            "target": list(self.target),
-            "l": self.l,
-            "q": self.q,
-            "xs": [list(v) for v in self.xs],
-            "ys": [list(v) for v in self.ys],
-            "matrix": self.matrix.to_json(),
-        }
 
 
 def check_feasibility_witness(witness: FeasibilityWitness) -> List[str]:

@@ -27,7 +27,8 @@ from math import factorial, gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .model import (
-    DegreeTuple, HomologyElement, LengthMismatch, _is_int, _require_int, homology_reduce,
+    DegreeTuple, HomologyElement, LengthMismatch, _is_int, _JsonFields, _require_int,
+    homology_reduce,
 )
 
 MIN_MORSE_INDEX = 0
@@ -199,7 +200,7 @@ def orbit_spectrum(n: int, degrees: Sequence[int], action_cap: int) -> List[Orbi
 
 
 @dataclass(frozen=True)
-class FormalCurveSpec:
+class FormalCurveSpec(_JsonFields):
     """A formal punctured rational curve in a complement.
 
     ``positive_ends`` are the asymptotic orbit classes; ``q`` is the degree
@@ -254,15 +255,6 @@ class FormalCurveSpec:
         d = DegreeTuple(degrees)
         ends = tuple(positive_ends)
         return cls(n, d, ends, sum(oc.v[0] for oc in ends) // d[0], tangency_order)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "degrees": list(self.degrees),
-            "q": self.q,
-            "tangency_order": self.tangency_order,
-            "positive_ends": [oc.to_json() for oc in self.positive_ends],
-        }
 
 
 def fredholm_index(

@@ -19,7 +19,7 @@ Conventions fixed here and relied on everywhere downstream:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Optional, Sequence
 
 
@@ -48,6 +48,25 @@ def _require_int(value: Any, what: str, minimum: int = 1, error: type = ValueErr
         kind = "positive" if minimum == 1 else "nonnegative"
         raise error(f"{what} must be a {kind} integer, got {value!r}")
     return value
+
+
+def _jsonify(obj: Any) -> Any:
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    return obj
+
+
+class _JsonFields:
+    """Mixin for a dataclass whose JSON is its fields, in field order, each
+    rendered by ``_jsonify``: tuples become lists and nested evidence is
+    its own ``to_json``."""
+
+    def to_json(self) -> dict:
+        return {f.name: _jsonify(getattr(self, f.name)) for f in fields(self)}
 
 
 class DegreeTuple(tuple):
@@ -92,7 +111,7 @@ class DegreeTuple(tuple):
 
 
 @dataclass(frozen=True)
-class HomologyElement:
+class HomologyElement(_JsonFields):
     """An element of H_1 of a complement, i.e. Z^k modulo Z*(d_1,...,d_k).
 
     ``coordinates`` are always stored in the canonical reduced form whose
@@ -121,9 +140,6 @@ class HomologyElement:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coordinates)
-
-    def to_json(self) -> dict:
-        return {"coordinates": list(self.coordinates), "modulus": list(self.modulus)}
 
 
 def homology_reduce(vector: Sequence[int], degrees: Iterable[int]) -> HomologyElement:
@@ -193,13 +209,3 @@ class Verdict:
         if self.search_bounds is not None:
             out["search_bounds"] = _jsonify(self.search_bounds)
         return out
-
-
-def _jsonify(obj: Any) -> Any:
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj

@@ -28,7 +28,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, _require_int
+from .model import DegreeTuple, _JsonFields, _require_int
 
 COMBINE = "combine"
 DUPLICATE = "duplicate"
@@ -94,7 +94,7 @@ class Move:
 
 
 @dataclass(frozen=True)
-class MoveSequence:
+class MoveSequence(_JsonFields):
     """A replayable sequence of moves from one degree tuple to another."""
 
     source: DegreeTuple
@@ -123,16 +123,9 @@ class MoveSequence:
     def __len__(self) -> int:
         return len(self.moves)
 
-    def to_json(self) -> dict:
-        return {
-            "source": list(self.source),
-            "target": list(self.target),
-            "moves": [m.to_json() for m in self.moves],
-        }
-
 
 @dataclass(frozen=True)
-class DecompositionWitness:
+class DecompositionWitness(_JsonFields):
     """Matrix certificate for the partial order.
 
     ``rows`` is one integer vector z_i per source entry, nonnegative and
@@ -164,13 +157,6 @@ class DecompositionWitness:
             sum(z[i][j] * d[i] for i in range(len(d))) == dp[j]
             for j in range(len(dp))
         )
-
-    def to_json(self) -> dict:
-        return {
-            "source": list(self.source),
-            "target": list(self.target),
-            "rows": [list(r) for r in self.rows],
-        }
 
     def to_moves(self) -> MoveSequence:
         """A move sequence realizing this decomposition.
