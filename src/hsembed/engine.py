@@ -45,7 +45,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
 from .model import (
-    NO, UNKNOWN, YES, DegreeTuple, Verdict, _is_int, _JsonFields, _require_int, homology_reduce,
+    NO, UNKNOWN, YES, DegreeTuple, Verdict, _is_int, _JsonFields, _require_int, _require_ints,
+    homology_reduce,
 )
 from .order import MoveSequence, leqq
 
@@ -137,8 +138,8 @@ class FeasibilityWitness(_JsonFields):
     def __post_init__(self) -> None:
         object.__setattr__(self, "source", DegreeTuple(self.source))
         object.__setattr__(self, "target", DegreeTuple(self.target))
-        object.__setattr__(self, "xs", tuple(tuple(int(c) for c in v) for v in self.xs))
-        object.__setattr__(self, "ys", tuple(tuple(int(c) for c in v) for v in self.ys))
+        object.__setattr__(self, "xs", tuple(_require_ints(v, "source vector") for v in self.xs))
+        object.__setattr__(self, "ys", tuple(_require_ints(v, "target vector") for v in self.ys))
 
 
 def check_feasibility_witness(witness: FeasibilityWitness) -> List[str]:
@@ -237,11 +238,9 @@ def enumerate_vector_partitions(
     nonnegative ints and ``parts`` and ``max_support`` are positive ints
     (bools are rejected).
     """
-    tgt = tuple(target)
+    tgt = _require_ints(target, "target")
     if not tgt:
         raise ValueError("target vector must be nonempty")
-    if not all(_is_int(c) for c in tgt):
-        raise ValueError(f"target entries must be integers, got {tgt!r}")
     if any(c < 0 for c in tgt) or not any(tgt):
         raise ValueError(f"target must be nonzero with nonnegative entries, got {tgt}")
     _require_int(parts, "parts")
@@ -333,9 +332,9 @@ def witness_search(
     """Decide feasibility of the formal-curve obstruction system.
 
     Explores the (l, q) grid in ascending order of l, then q.  Returns
-    FEASIBLE with a validated witness, INFEASIBLE only when the grid is
-    provably exhaustive (total source degree > n + 1) and fully explored,
-    and BUDGET_EXCEEDED otherwise.  In the boundary case sum(d) = n + 1 the
+    FEASIBLE with a witness that ``check_feasibility_witness`` accepts,
+    INFEASIBLE only when the grid is provably exhaustive (total source
+    degree > n + 1) and fully explored, and BUDGET_EXCEEDED otherwise.  In the boundary case sum(d) = n + 1 the
     q-range is unbounded, so no finite exploration can prove infeasibility
     and the fallback is always BUDGET_EXCEEDED.
 
@@ -447,11 +446,10 @@ def witness_search(
                             y_classes.setdefault(y_class[y], []).append(y)
                         image = {key: y_classes[h_keys[h]] for key, h in zip(g_keys, f)}
                         ys_aligned = [image[key].pop(0) for key in x_keys]
-                        witness = FeasibilityWitness(
-                            n, d, dp, l, q, tuple(xs), tuple(ys_aligned), mat
+                        return finish(
+                            FEASIBLE,
+                            FeasibilityWitness(n, d, dp, l, q, tuple(xs), tuple(ys_aligned), mat),
                         )
-                        assert not check_feasibility_witness(witness)
-                        return finish(FEASIBLE, witness)
     return finish(INFEASIBLE if finite else BUDGET_EXCEEDED)
 
 

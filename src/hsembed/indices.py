@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .model import (
     DegreeTuple, HomologyElement, LengthMismatch, _is_int, _JsonFields, _require_int,
-    homology_reduce,
+    _require_ints, homology_reduce,
 )
 
 MIN_MORSE_INDEX = 0
@@ -48,7 +48,7 @@ def _validate_wrapping(
     """The wrapping vector v of an orbit family in dimension n, as ints, and
     its support size; v must have ``length`` entries when that is given."""
     _require_int(n, "complex dimension")
-    w = tuple(map(int, v))
+    w = _require_ints(v, "wrapping", InadmissibleOrbit)
     if length is not None and len(w) != length:
         raise LengthMismatch(f"wrapping length {len(w)} != {length} components")
     if not any(w) or min(w) < 0:
@@ -90,12 +90,12 @@ def cz_index_anticanonical(
     correction entirely.
     """
     cz = cz_index(n, v, morse_index)
-    a = tuple(int(c) for c in vanishing_orders)
+    a = _require_ints(vanishing_orders, "vanishing order")
     if len(a) != len(v):
         raise LengthMismatch(
             f"vanishing orders length {len(a)} != wrapping length {len(v)}"
         )
-    return cz - 2 * sum(int(c) * o for c, o in zip(v, a))
+    return cz - 2 * sum(c * o for c, o in zip(v, a))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, LengthMismatch
+from .model import DegreeTuple, LengthMismatch, _require_ints
 
 
 class DimensionMismatch(ValueError):
@@ -42,7 +42,7 @@ class IntMatrix:
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, data: Iterable[Iterable[int]]) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(_require_ints(row, "matrix") for row in data)
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix must have at least one row and one column")
         width = len(rows[0])
@@ -249,7 +249,7 @@ def hom_exists(
     system; the vectors may be any int sequences.
     """
     return HomFeasibility(degrees, target_degrees).matrix(
-        [(tuple(int(c) for c in x), tuple(int(c) for c in y)) for x, y in pairs]
+        [(_require_ints(x, "source vector"), _require_ints(y, "target vector")) for x, y in pairs]
     )
 
 

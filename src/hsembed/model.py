@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 
 class EmptyInput(ValueError):
@@ -48,6 +48,17 @@ def _require_int(value: Any, what: str, minimum: int = 1, error: type = ValueErr
         kind = "positive" if minimum == 1 else "nonnegative"
         raise error(f"{what} must be a {kind} integer, got {value!r}")
     return value
+
+
+def _require_ints(values: Iterable[Any], what: str, error: type = ValueError) -> Tuple[int, ...]:
+    """``values`` as a tuple when every entry is an int, not a bool.
+    Otherwise raises ``error`` with the message "<what> entries must be
+    integers, got <entry!r>"."""
+    items = tuple(values)
+    for c in items:
+        if not _is_int(c):
+            raise error(f"{what} entries must be integers, got {c!r}")
+    return items
 
 
 def _jsonify(obj: Any) -> Any:
@@ -125,7 +136,7 @@ class HomologyElement(_JsonFields):
 
     def __post_init__(self) -> None:
         mod = DegreeTuple(self.modulus)
-        coords = tuple(int(c) for c in self.coordinates)
+        coords = _require_ints(self.coordinates, "homology vector")
         if len(coords) != len(mod):
             raise LengthMismatch(
                 f"vector length {len(coords)} != tuple length {len(mod)}"

@@ -28,7 +28,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, _JsonFields, _require_int
+from .model import DegreeTuple, _JsonFields, _require_int, _require_ints
 
 COMBINE = "combine"
 DUPLICATE = "duplicate"
@@ -142,7 +142,7 @@ class DecompositionWitness(_JsonFields):
         object.__setattr__(self, "source", DegreeTuple(self.source))
         object.__setattr__(self, "target", DegreeTuple(self.target))
         object.__setattr__(
-            self, "rows", tuple(tuple(int(c) for c in r) for r in self.rows)
+            self, "rows", tuple(_require_ints(r, "decomposition row") for r in self.rows)
         )
 
     def is_valid(self) -> bool:
@@ -166,7 +166,7 @@ class DecompositionWitness(_JsonFields):
         copies one at a time: 2 * sum(z) - k - k' moves in all.  Each move
         finds its indices by value in the current canonical tuple; equal
         entries are interchangeable, so any position holding the value will
-        do.
+        do.  The sequence replays to the target when :meth:`is_valid` holds.
         """
         state = tuple(self.source)
         moves: List[Move] = []
@@ -187,9 +187,7 @@ class DecompositionWitness(_JsonFields):
                 b = state.index(e, a + 1) if e == acc else state.index(e)
                 play(Move(COMBINE, min(a, b), max(a, b)))
                 acc += e
-        seq = MoveSequence(self.source, self.target, tuple(moves))
-        assert seq.is_valid()
-        return seq
+        return MoveSequence(self.source, self.target, tuple(moves))
 
 
 def _successor_moves(state: Tuple[int, ...]) -> List[Move]:
@@ -304,9 +302,7 @@ def leqq_decomposition(
     if not rec(0, 0):
         return None
     rows = tuple(tuple(choice[j][i] for j in range(len(dp))) for i in range(k))
-    witness = DecompositionWitness(d, dp, rows)
-    assert witness.is_valid()
-    return witness
+    return DecompositionWitness(d, dp, rows)
 
 
 def leqq(

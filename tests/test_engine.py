@@ -1,5 +1,7 @@
 """Quick obstruction rules, the certified search, and the decide ladder."""
 
+import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -41,6 +43,21 @@ from hsembed import (
 )
 
 from oracles import canonical_tuples, partitions_of_vector
+
+# the 30 tuples with sum <= 7 and at most 3 components
+SMALL_TUPLES = [d for d in canonical_tuples(7) if len(d) <= 3]
+
+
+@functools.cache
+def _search_corpus():
+    """(n, source, target, outcome) of every call_cap=3000 search over
+    SMALL_TUPLES for n = 1..3 whose degree sums both reach n + 1."""
+    return [
+        (n, src, dst, witness_search(n, src, dst, Budget(call_cap=3000)))
+        for n in (1, 2, 3)
+        for src, dst in itertools.product(SMALL_TUPLES, repeat=2)
+        if src.total() >= n + 1 and dst.total() >= n + 1
+    ]
 
 
 def _oracle_parts_cap(target):
@@ -338,26 +355,31 @@ class TestWitnessSearch:
         assert target_parts == built
 
     def test_frozen_outcome_digest(self):
-        # status, calls, bounds and witness of every query with source and
-        # target of sum <= 7 and at most 3 components, for n = 1..3; a
-        # capped search reports exactly call_cap + 1 = 3001 calls
-        tuples = [d for d in canonical_tuples(7) if len(d) <= 3]
+        # status, calls, bounds and witness of every query of the search
+        # corpus; a capped search reports exactly call_cap + 1 = 3001 calls
         digest = hashlib.sha256()
         count = feasible = 0
-        for n in (1, 2, 3):
-            for src, dst in itertools.product(tuples, repeat=2):
-                if src.total() < n + 1 or dst.total() < n + 1:
-                    continue
-                out = witness_search(n, src, dst, Budget(call_cap=3000))
-                count += 1
-                feasible += out.status == "FEASIBLE"
-                witness = None if out.witness is None else out.witness.to_json()
-                record = [out.status, out.calls_used, out.bounds, witness]
-                digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        for _, _, _, out in _search_corpus():
+            count += 1
+            feasible += out.status == "FEASIBLE"
+            witness = None if out.witness is None else out.witness.to_json()
+            record = [out.status, out.calls_used, out.bounds, witness]
+            digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
         assert (count, feasible) == (2146, 676)
         assert digest.hexdigest() == (
             "610647cbc4060b1c0ffcc11833c64c4483a23cd669252ad9d4cd463928ed8828"
         )
+
+    def test_every_corpus_witness_checks(self):
+        # witness_search does not re-check the witnesses it returns
+        checked = 0
+        for n, src, dst, out in _search_corpus():
+            if out.status == "FEASIBLE":
+                w = out.witness
+                assert (w.n, w.source, w.target) == (n, src, dst)
+                assert check_feasibility_witness(w) == [], (n, src, dst)
+                checked += 1
+        assert checked == 676
 
     def test_feasible_witness_matrix_from_hom_exists(self):
         out = witness_search(2, (2, 2), (4, 3))
@@ -385,6 +407,47 @@ class TestDecide:
         assert v.kind == YES
         assert v.witness.is_valid()
         assert verify_verdict(2, (3, 2, 2), (7, 2), LIOUVILLE, v)
+
+    def test_window_yes_verdicts_replay(self):
+        # the order rung does not replay the move witnesses it builds; every
+        # YES of acceptance criterion 3's in-window corpus is replayed here
+        queries = yes = 0
+        for n in (1, 2, 3):
+            tuples = canonical_tuples(7, n + 1)
+            for src, dst in itertools.product(tuples, repeat=2):
+                if dst.total() >= 2 * src.total() - n - 1:
+                    continue
+                queries += 1
+                v = decide(n, src, dst)
+                if v.kind == YES:
+                    yes += 1
+                    assert verify_verdict(n, src, dst, LIOUVILLE, v), (n, src, dst)
+        assert (queries, yes) == (3879, 950)
+
+    def test_verdict_census(self):
+        # verdicts by (kind, NO rule) over SMALL_TUPLES for n = 1..3
+        exact = {
+            (YES, None): 864,
+            (NO, SUM_DROP): 668,
+            (NO, FN_ALMOST_SYMPLECTIC): 514,
+            (NO, DEGREE_HYP_NOT_LEQQ): 275,
+            (NO, GCD_SINGLE): 71,
+            (NO, WITNESS_INFEASIBLE): 34,
+            (NO, HYPERPLANE_TARGET): 5,
+            (UNKNOWN, None): 269,
+        }
+        expected = {
+            LIOUVILLE: exact,
+            WEINSTEIN: exact,
+            SYMPLECTIC: {(YES, None): 1542, (NO, GCD_SINGLE): 798, (UNKNOWN, None): 360},
+        }
+        for mode, counts in expected.items():
+            census = collections.Counter()
+            for n in (1, 2, 3):
+                for src, dst in itertools.product(SMALL_TUPLES, repeat=2):
+                    v = decide(n, src, dst, mode, Budget(call_cap=3000))
+                    census[v.kind, v.certificate and v.certificate.rule] += 1
+            assert dict(census) == counts, mode
 
     def test_order_rung_runs_no_move_search(self, monkeypatch):
         # the decomposition alone decides and builds the witness; the

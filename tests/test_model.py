@@ -7,15 +7,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hsembed import (
+    DecompositionWitness,
     DegreeTuple,
     EmptyInput,
     HomologyElement,
+    IntMatrix,
     LengthMismatch,
     NO,
     NonPositiveEntry,
+    OrbitClass,
     UNKNOWN,
     Verdict,
     YES,
+    cz_index_anticanonical,
+    hom_exists,
     homology_reduce,
 )
 
@@ -106,6 +111,24 @@ class TestHomology:
     def test_is_zero(self):
         assert HomologyElement((8, 4), (4, 2)).is_zero
         assert not HomologyElement((1, 0), (4, 2)).is_zero
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: homology_reduce((1.9, True), (2, 1)),
+        lambda: OrbitClass(2, (2, 1), (1.9, 0), 1),
+        lambda: hom_exists((2, 1), (2, 1), [((1.9, 0), (1, 0))]),
+        lambda: IntMatrix([[1.7, True]]),
+        lambda: cz_index_anticanonical(2, (1, 0), 0, (0.5, 0)),
+        lambda: DecompositionWitness((2,), (4,), ((2.9,),)),
+    ],
+    ids=["homology", "wrapping", "hom_pairs", "matrix", "vanishing_orders", "decomposition"],
+)
+def test_vector_entries_must_be_ints(call):
+    # each of these once truncated its float or bool entries with int()
+    with pytest.raises(ValueError, match="entries must be integers"):
+        call()
 
 
 class TestVerdict:
