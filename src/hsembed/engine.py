@@ -334,9 +334,10 @@ def witness_search(
     Explores the (l, q) grid in ascending order of l, then q.  Returns
     FEASIBLE with a witness that ``check_feasibility_witness`` accepts,
     INFEASIBLE only when the grid is provably exhaustive (total source
-    degree > n + 1) and fully explored, and BUDGET_EXCEEDED otherwise.  In the boundary case sum(d) = n + 1 the
-    q-range is unbounded, so no finite exploration can prove infeasibility
-    and the fallback is always BUDGET_EXCEEDED.
+    degree > n + 1) and fully explored, and BUDGET_EXCEEDED otherwise.  In
+    the boundary case sum(d) = n + 1 the q-range is unbounded, so no finite
+    exploration can prove infeasibility and the fallback is always
+    BUDGET_EXCEEDED.
 
     Every assignment tried is one call, whether or not the same class pairs
     were asked before, so the call count at any point is a pure function of
