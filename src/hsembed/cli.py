@@ -6,10 +6,12 @@ constructive partial order), ``spectrum`` (Reeb orbit class tables), and
 
 Output contract: stdout carries either deterministic JSON (sorted keys,
 two-space indent, no volatile fields — byte-stable across runs for equal
-inputs) or a short human rendering with ``--human``; ``--out FILE``
-additionally writes the full query record including wall time.  Exit codes:
-0 = YES/true, 1 = NO/false, 2 = UNKNOWN, 64 = usage error, and 0 for the
-purely informational commands.
+inputs) or a short human rendering with ``--human``, except that
+``poset`` always prints DOT and takes no format flag.  ``--out FILE``
+additionally writes the full query record including wall time.  A usage
+error names the argument it concerns.  Exit codes: 0 = YES/true, 1 =
+NO/false, 2 = UNKNOWN, 64 = usage error, and 0 for the purely
+informational commands.
 """
 
 from __future__ import annotations
@@ -18,14 +20,12 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import __version__, order
-from .engine import LIOUVILLE, MODES, Budget, decide
+from .engine import LIOUVILLE, MODES, Budget, decide, enumerate_vector_partitions
 from .indices import orbit_spectrum
-from .model import (
-    NO, UNKNOWN, YES, DegreeTuple, EmptyInput, NonPositiveEntry, _jsonify, _require_int,
-)
+from .model import NO, UNKNOWN, YES, DegreeTuple, _jsonify, _require_int
 from .order import leqq
 
 SCHEMA_VERSION = 2
@@ -44,60 +44,70 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_degrees(text: str, flag: str) -> DegreeTuple:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise UsageError(f"{flag} expects a comma-separated list of positive integers")
+def _degrees(text: str) -> DegreeTuple:
+    """Argument type: a comma-separated list of positive integers."""
     try:
-        values = [int(p) for p in parts]
+        return DegreeTuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise UsageError(f"{flag}: could not parse {text!r} as integers") from None
-    try:
-        return DegreeTuple(values)
-    except (EmptyInput, NonPositiveEntry) as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        ) from None
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """Argument type: an integer of at least ``minimum`` (1 or 0)."""
+
+    def convert(text: str) -> int:
+        try:
+            value: object = int(text)
+        except ValueError:
+            value = text
+        return _require_int(value, "value", minimum, argparse.ArgumentTypeError)
+
+    return convert
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hsembed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser) -> None:
-        out = p.add_mutually_exclusive_group()
-        out.add_argument("--json", action="store_true", default=True, dest="as_json")
-        out.add_argument("--human", action="store_false", dest="as_json")
-        p.add_argument("--out", metavar="FILE", help="also write the full query record")
-
     p = sub.add_parser("decide", help="decide an embedding query with evidence")
-    p.add_argument("--n", type=int, required=True, help="complex dimension")
-    p.add_argument("--source", required=True, help="comma-separated source degrees")
-    p.add_argument("--target", required=True, help="comma-separated target degrees")
+    p.set_defaults(run=cmd_decide)
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="complex dimension")
+    p.add_argument("--source", type=_degrees, required=True, help="comma-separated source degrees")
+    p.add_argument("--target", type=_degrees, required=True, help="comma-separated target degrees")
     p.add_argument("--mode", choices=MODES, default=LIOUVILLE)
     p.add_argument("--q-cap", type=int, default=4, dest="q_cap")
     p.add_argument("--call-cap", type=int, default=10**6, dest="call_cap")
     p.add_argument("--time-cap", type=float, default=None, dest="time_cap")
     p.add_argument(
-        "--threads", type=int, default=1,
+        "--threads", type=_int_at_least(1), default=1,
         help="accepted for compatibility; the search runs sequentially",
     )
-    add_common(p)
 
     p = sub.add_parser("leqq", help="decide the constructive partial order")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    add_common(p)
+    p.set_defaults(run=cmd_leqq)
+    p.add_argument("--source", type=_degrees, required=True)
+    p.add_argument("--target", type=_degrees, required=True)
 
     p = sub.add_parser("spectrum", help="tabulate Reeb orbit classes up to an action cap")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--action-cap", type=int, required=True, dest="action_cap")
-    add_common(p)
+    p.set_defaults(run=cmd_spectrum)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--degrees", type=_degrees, required=True)
+    p.add_argument("--action-cap", type=_int_at_least(0), required=True, dest="action_cap")
 
     p = sub.add_parser("poset", help="export the partial order as a DOT graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-sum", type=int, required=True, dest="max_sum")
+    p.set_defaults(run=cmd_poset, as_json=False)  # its one human line is the DOT graph
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--max-sum", type=_int_at_least(0), required=True, dest="max_sum")
     p.add_argument("--mode", choices=MODES, default=LIOUVILLE)
-    add_common(p)
+
+    for name in ("decide", "leqq", "spectrum"):
+        fmt = sub.choices[name].add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true", default=True, dest="as_json")
+        fmt.add_argument("--human", action="store_false", dest="as_json")
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="FILE", help="also write the full query record")
     return parser
 
 
@@ -117,24 +127,20 @@ def _record(command: str, inputs: dict, payload: dict) -> dict:
 
 
 def cmd_decide(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
-    n = _require_int(args.n, "--n", 1, UsageError)
-    source = _parse_degrees(args.source, "--source")
-    target = _parse_degrees(args.target, "--target")
-    threads = _require_int(args.threads, "--threads", 1, UsageError)
     try:
         budget = Budget(q_cap=args.q_cap, call_cap=args.call_cap, time_cap=args.time_cap)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    verdict = decide(n, source, target, args.mode, budget, threads)
+    verdict = decide(args.n, args.source, args.target, args.mode, budget, args.threads)
     inputs = {
-        "n": n,
-        "source": list(source),
-        "target": list(target),
+        "n": args.n,
+        "source": list(args.source),
+        "target": list(args.target),
         "mode": args.mode,
         "q_cap": budget.q_cap,
         "call_cap": budget.call_cap,
         "time_cap": budget.time_cap,
-        "threads": threads,
+        "threads": args.threads,
     }
     record = _record(
         "decide",
@@ -156,10 +162,8 @@ def cmd_decide(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
 
 
 def cmd_leqq(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
-    source = _parse_degrees(args.source, "--source")
-    target = _parse_degrees(args.target, "--target")
-    ok, moves = leqq(source, target)
-    inputs = {"source": list(source), "target": list(target)}
+    ok, moves = leqq(args.source, args.target)
+    inputs = {"source": list(args.source), "target": list(args.target)}
     record = _record(
         "leqq",
         inputs,
@@ -176,11 +180,8 @@ def cmd_leqq(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
-    n = _require_int(args.n, "--n", 1, UsageError)
-    degrees = _parse_degrees(args.degrees, "--degrees")
-    _require_int(args.action_cap, "--action-cap", 0, UsageError)
-    classes = orbit_spectrum(n, degrees, args.action_cap)
-    inputs = {"n": n, "degrees": list(degrees), "action_cap": args.action_cap}
+    classes = orbit_spectrum(args.n, args.degrees, args.action_cap)
+    inputs = {"n": args.n, "degrees": list(args.degrees), "action_cap": args.action_cap}
     record = _record("spectrum", inputs, {"classes": [oc.to_json() for oc in classes]})
     lines = [f"{len(classes)} orbit classes with action <= {args.action_cap}"]
     for oc in classes:
@@ -189,21 +190,6 @@ def cmd_spectrum(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
             f"morse={oc.morse_index} cz={oc.cz} homology={oc.homology.coordinates}"
         )
     return record, lines, EXIT_YES
-
-
-def _integer_partitions(total: int) -> List[Tuple[int, ...]]:
-    """All partitions of ``total`` as non-increasing tuples."""
-    out: List[Tuple[int, ...]] = []
-
-    def rec(remaining: int, largest: int, prefix: Tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(total, total, ())
-    return out
 
 
 def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
@@ -216,11 +202,13 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     # builds each node's reachable set (a bitset over node positions) from
     # its successors' and keeps the successors that no other successor
     # reaches: the transitive reduction of a DAG (Aho, Garey & Ullman 1972).
-    n = _require_int(args.n, "--n", 1, UsageError)
-    _require_int(args.max_sum, "--max-sum", 0, UsageError)
-    nodes: List[DegreeTuple] = []
-    for total in range(n + 1, args.max_sum + 1):
-        nodes.extend(DegreeTuple(p) for p in _integer_partitions(total))
+    n = args.n
+    nodes = [
+        DegreeTuple(e for (e,) in parts)
+        for total in range(n + 1, args.max_sum + 1)
+        for k in range(1, total + 1)
+        for parts in enumerate_vector_partitions((total,), k, 1)
+    ]
     nodes.sort(key=lambda d: (d.total(), d))
     position = {d: i for i, d in enumerate(nodes)}
     reach = [0] * len(nodes)
@@ -264,30 +252,14 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         started = time.monotonic()
-        if args.command == "decide":
-            record, lines, code = cmd_decide(args)
-        elif args.command == "leqq":
-            record, lines, code = cmd_leqq(args)
-        elif args.command == "spectrum":
-            record, lines, code = cmd_spectrum(args)
-        elif args.command == "poset":
-            record, lines, code = cmd_poset(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command!r}")
+        record, lines, code = args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "poset":
-        # DOT is the stdout contract for poset regardless of --json.
-        sys.stdout.write(lines[0] + "\n")
-    elif args.as_json:
-        sys.stdout.write(_dump(record))
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(_dump(record) if args.as_json else "\n".join(lines) + "\n")
     if args.out:
         full = dict(record)
         full["wall_time_ms"] = int((time.monotonic() - started) * 1000)

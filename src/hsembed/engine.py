@@ -48,7 +48,7 @@ from .model import (
     NO, UNKNOWN, YES, DegreeTuple, Verdict, _is_int, _JsonFields, _require_int, _require_ints,
     homology_reduce,
 )
-from .order import MoveSequence, leqq
+from .order import MoveSequence, leqq, leqq_decomposition
 
 LIOUVILLE = "liouville"
 WEINSTEIN = "weinstein"
@@ -197,6 +197,8 @@ def check_feasibility_witness(witness: FeasibilityWitness) -> List[str]:
     if not multiple_of_target(m.vecmul(tuple(d))):
         problems.append("matrix does not send the source relation into the target relation")
     for x, y in zip(witness.xs, witness.ys):
+        if len(x) != k or len(y) != kp:  # reported above as a bad vector
+            continue
         diff = [a - b for a, b in zip(m.vecmul(x), y)]
         if not multiple_of_target(diff):
             problems.append(f"matrix image of {x} is not {y} modulo the target relation")
@@ -224,15 +226,15 @@ def enumerate_vector_partitions(
     form).  The multisets come in descending lexicographic order of those
     tuples, the same order as the brute-force ``partitions_of_vector``.
 
-    Method (a multipartition generator in the spirit of Knuth, TAOCP 4A,
-    7.2.1.5, Algorithm M): every admissible part (nonzero, at most
-    ``target`` coordinatewise, support at most ``max_support``) is listed
-    once, in descending lexicographic order.  A partial multiset that ended
-    with part i may continue only with parts i, i + 1, ...; the last part
-    is forced to be what is left.  A branch is cut when what is left has
-    fewer units than parts, more nonzero coordinates than the parts can
-    cover, or a first coordinate that the remaining parts, none larger than
-    the current one, cannot reach.
+    Method: a ranked part list and a recursive split.  Every admissible
+    part (nonzero, at most ``target`` coordinatewise, support at most
+    ``max_support``) is listed once, in descending lexicographic order,
+    and ranked by its place in that list.  The split takes a part of rank
+    i and splits what is left into one part fewer, with parts of rank i
+    or more; the last part is forced to be what is left.  A branch is cut
+    when what is left has fewer units than parts, more nonzero coordinates
+    than the parts can cover, or a first coordinate that the remaining
+    parts, none larger than the current one, cannot reach.
 
     Raises ValueError unless ``target`` is a nonempty, nonzero vector of
     nonnegative ints and ``parts`` and ``max_support`` are positive ints
@@ -663,7 +665,7 @@ def replay_certificate(cert: Certificate) -> bool:
         return False
     n, d, dp, mode = query
     if cert.rule != WITNESS_INFEASIBLE:
-        derived = list(_certificates(n, d, dp, mode, leqq(d, dp)[0]))
+        derived = list(_certificates(n, d, dp, mode, leqq_decomposition(d, dp) is not None))
     elif mode == SYMPLECTIC:
         return False
     else:

@@ -82,6 +82,11 @@ class TestUsageErrors:
             ("spectrum", "--n", "2", "--degrees", "1,1"),
             ("bogus",),
             ("leqq", "--source", "3,2,2", "--target", "7,2", "--threads", "2"),
+            ("poset", "--n", "2", "--max-sum", "4", "--human"),
+            ("poset", "--n", "2", "--max-sum", "-1"),
+            ("spectrum", "--n", "2", "--degrees", "2,1", "--action-cap", "-1"),
+            ("decide", "--n", "2", "--source", "2", "--target", "3", "--threads", "0"),
+            ("decide", "--n", "2.5", "--source", "2", "--target", "3"),
         ],
     )
     def test_exit_64_with_stderr(self, args):

@@ -15,6 +15,7 @@ from hsembed import (
     Budget,
     Certificate,
     DEGREE_HYP_NOT_LEQQ,
+    DecompositionWitness,
     DegreeTuple,
     FN_ALMOST_SYMPLECTIC,
     GCD_SINGLE,
@@ -92,6 +93,16 @@ class TestVectorPartitions:
                 parts,
                 max_support,
             )
+
+    def test_one_coordinate_gives_the_integer_partitions(self):
+        # cli's poset builds its nodes this way: one call per part count
+        for total in range(1, 16):
+            got = [
+                DegreeTuple(e for (e,) in parts)
+                for k in range(1, total + 1)
+                for parts in enumerate_vector_partitions((total,), k, 1)
+            ]
+            assert sorted(got) == sorted(canonical_tuples(total, total)), total
 
     def test_no_duplicates(self):
         got = list(enumerate_vector_partitions((2, 2), 3, 2))
@@ -400,6 +411,24 @@ class TestWitnessSearch:
         broken = replace(w, q=2)
         assert check_feasibility_witness(broken) != []
 
+    @pytest.mark.parametrize(
+        "x0, y0, problem",
+        [
+            ((1,), None, "bad source vector (1,)"),
+            ((4, 0), (4,), "bad target vector (4,)"),
+        ],
+        ids=["short_source_vector", "short_target_vector"],
+    )
+    def test_witness_checker_reports_misshaped_vectors(self, x0, y0, problem):
+        # evidence from outside may have vectors of any length: the checker
+        # reports them and skips their image check instead of raising
+        from dataclasses import replace
+
+        w = witness_search(2, (2, 2), (4, 3)).witness
+        ys = w.ys if y0 is None else (y0,) + w.ys[1:]
+        broken = replace(w, xs=(x0,) + w.xs[1:], ys=ys)
+        assert problem in check_feasibility_witness(broken)
+
 
 class TestDecide:
     def test_yes_via_moves(self):
@@ -552,6 +581,20 @@ class TestDecide:
         broken = Certificate(cert.rule, data, cert.search_bounds)
         assert not replay_certificate(broken)
         assert not verify_verdict(*query, LIOUVILLE, Verdict.no(broken))
+
+    def test_replay_builds_no_move_witness(self, monkeypatch):
+        # a replay needs only whether the pair is related; a forged SUM_DROP
+        # for a related pair is rejected without building its move witness,
+        # whose cost grows quadratically with the target entry
+        def forbidden(self):
+            raise AssertionError("replay built a move witness")
+
+        monkeypatch.setattr(DecompositionWitness, "to_moves", forbidden)
+        data = {
+            **decide(2, (4, 2), (2, 2)).certificate.data,
+            "source": [1, 1], "target": [4000], "sum_source": 2, "sum_target": 4000,
+        }
+        assert replay_certificate(Certificate(SUM_DROP, data)) is False
 
     def test_thread_count_does_not_change_outcome(self):
         cases = [
