@@ -8,19 +8,21 @@ Output contract: stdout carries either deterministic JSON (sorted keys,
 two-space indent, no volatile fields — byte-stable across runs for equal
 inputs) or a short human rendering with ``--human``, except that
 ``poset`` always prints DOT and takes no format flag.  ``--out FILE``
-additionally writes the full query record including wall time.  A usage
-error names the argument it concerns.  Exit codes: 0 = YES/true, 1 =
-NO/false, 2 = UNKNOWN, 64 = usage error, and 0 for the purely
-informational commands.
+additionally writes the full query record including wall time; the file
+is opened when the arguments are parsed, so a path that cannot be
+written is a usage error.  A usage error names the argument it concerns.
+Exit codes: 0 = YES/true, 1 = NO/false, 2 = UNKNOWN, 64 = usage error,
+and 0 for the purely informational commands.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__, order
 from .engine import LIOUVILLE, MODES, Budget, decide, enumerate_vector_partitions
@@ -67,6 +69,27 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return convert
 
 
+def _seconds(text: str) -> float:
+    """Argument type: a time cap, by ``Budget``'s rule (finite and positive)."""
+    try:
+        value: object = float(text)
+    except ValueError:
+        value = text
+    try:
+        return Budget(time_cap=value).time_cap
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _out_file(path: str) -> TextIO:
+    """Argument type: a file opened for writing now, so that a path that
+    cannot be written is a usage error before any work is done."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot open {path!r}: {exc.strerror}") from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hsembed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,9 +100,9 @@ def build_parser() -> _Parser:
     p.add_argument("--source", type=_degrees, required=True, help="comma-separated source degrees")
     p.add_argument("--target", type=_degrees, required=True, help="comma-separated target degrees")
     p.add_argument("--mode", choices=MODES, default=LIOUVILLE)
-    p.add_argument("--q-cap", type=int, default=4, dest="q_cap")
-    p.add_argument("--call-cap", type=int, default=10**6, dest="call_cap")
-    p.add_argument("--time-cap", type=float, default=None, dest="time_cap")
+    p.add_argument("--q-cap", type=_int_at_least(1), default=4, dest="q_cap")
+    p.add_argument("--call-cap", type=_int_at_least(1), default=10**6, dest="call_cap")
+    p.add_argument("--time-cap", type=_seconds, default=None, dest="time_cap")
     p.add_argument(
         "--threads", type=_int_at_least(1), default=1,
         help="accepted for compatibility; the search runs sequentially",
@@ -107,7 +130,9 @@ def build_parser() -> _Parser:
         fmt.add_argument("--json", action="store_true", default=True, dest="as_json")
         fmt.add_argument("--human", action="store_false", dest="as_json")
     for p in sub.choices.values():
-        p.add_argument("--out", metavar="FILE", help="also write the full query record")
+        p.add_argument(
+            "--out", type=_out_file, metavar="FILE", help="also write the full query record"
+        )
     return parser
 
 
@@ -127,10 +152,7 @@ def _record(command: str, inputs: dict, payload: dict) -> dict:
 
 
 def cmd_decide(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
-    try:
-        budget = Budget(q_cap=args.q_cap, call_cap=args.call_cap, time_cap=args.time_cap)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    budget = Budget(q_cap=args.q_cap, call_cap=args.call_cap, time_cap=args.time_cap)
     verdict = decide(args.n, args.source, args.target, args.mode, budget, args.threads)
     inputs = {
         "n": args.n,
@@ -254,17 +276,17 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        started = time.monotonic()
-        record, lines, code = args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(_dump(record) if args.as_json else "\n".join(lines) + "\n")
-    if args.out:
-        full = dict(record)
-        full["wall_time_ms"] = int((time.monotonic() - started) * 1000)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump(full))
+    with args.out or contextlib.nullcontext():
+        started = time.monotonic()
+        record, lines, code = args.run(args)
+        sys.stdout.write(_dump(record) if args.as_json else "\n".join(lines) + "\n")
+        if args.out:
+            full = dict(record)
+            full["wall_time_ms"] = int((time.monotonic() - started) * 1000)
+            args.out.write(_dump(full))
     return code
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass
 from operator import sub
@@ -82,8 +83,8 @@ class Budget(_JsonFields):
     ``call_cap`` is a hard bound on the running total of logical
     homomorphism queries of one search; a search that reaches it stops at
     the next query and reports ``call_cap + 1`` calls.  ``time_cap`` is a
-    wall-clock limit in seconds (a positive int or float) and is the one
-    knob that trades determinism for latency (leave it None for
+    wall-clock limit in seconds (a finite positive int or float) and is
+    the one knob that trades determinism for latency (leave it None for
     reproducible runs).  A bad value of any field raises ValueError.
     """
 
@@ -94,12 +95,12 @@ class Budget(_JsonFields):
     def __post_init__(self) -> None:
         _require_int(self.q_cap, "q_cap")
         _require_int(self.call_cap, "call_cap")
-        if self.time_cap is not None and (
-            isinstance(self.time_cap, bool)
-            or not isinstance(self.time_cap, (int, float))
-            or not self.time_cap > 0
+        cap = self.time_cap
+        if cap is not None and (
+            isinstance(cap, bool) or not isinstance(cap, (int, float))
+            or not (cap > 0 and math.isfinite(cap))
         ):
-            raise ValueError(f"time_cap must be a positive number or None, got {self.time_cap!r}")
+            raise ValueError(f"time_cap must be a finite positive number or None, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -325,6 +326,18 @@ def _assignments(
     return rec(0)
 
 
+def _classify(vectors: Sequence[tuple], degrees: DegreeTuple, memo: dict) -> Tuple[tuple, tuple]:
+    """Sorted class keys of one side's vectors and their counts; ``memo`` caches keys."""
+    counts: Dict[tuple, int] = {}
+    for v in vectors:
+        key = memo.get(v)
+        if key is None:
+            key = memo[v] = homology_reduce(v, degrees).coordinates
+        counts[key] = counts.get(key, 0) + 1
+    keys = tuple(sorted(counts))
+    return keys, tuple(counts[key] for key in keys)
+
+
 def witness_search(
     n: int,
     source: Sequence[int],
@@ -349,11 +362,12 @@ def witness_search(
 
     The target partitions of l are listed only when a cell of that l has a
     source partition to pair them with, and the list is dropped once the
-    grid moves past l.  Each target partition is classified once, when it
-    is listed; a source partition then skips, at 0 calls, every one with
-    more classes than it has groups, since none admits an assignment.  The
-    assignments of each pair of group and class sizes are listed once per
-    search.
+    grid moves past l.  One rule classifies the partitions of both sides,
+    and computes every vector's homology class once per search, on either
+    side.  A source partition skips, at 0 calls, every target partition
+    with more classes than it has groups, since none admits an assignment.
+    The assignments of each pair of group and class sizes are listed once
+    per search.
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
@@ -393,12 +407,11 @@ def witness_search(
         return finish(INFEASIBLE)
     deadline = time.monotonic() + budget.time_cap if budget.time_cap else None
     feasibility = HomFeasibility(d, dp)
-    y_class: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    x_memo: Dict[tuple, tuple] = {}  # each side's class key of every vector seen
+    y_memo: Dict[tuple, tuple] = {}
 
     @functools.cache
-    def assignments(
-        g_sizes: Tuple[int, ...], h_sizes: Tuple[int, ...]
-    ) -> Tuple[Tuple[int, ...], ...]:
+    def assignments(g_sizes: Tuple[int, ...], h_sizes: Tuple[int, ...]) -> tuple:
         # the search reads at most call_cap + 1 of them before it stops
         return tuple(itertools.islice(_assignments(g_sizes, h_sizes), budget.call_cap + 1))
 
@@ -416,20 +429,8 @@ def witness_search(
                     for ys in enumerate_vector_partitions(tuple(dp), l, len(dp)):
                         if deadline is not None and time.monotonic() > deadline:
                             return finish(BUDGET_EXCEEDED)
-                        counts: Dict[Tuple[int, ...], int] = {}
-                        for y in ys:
-                            key = y_class.get(y)
-                            if key is None:
-                                key = y_class[y] = homology_reduce(y, dp).coordinates
-                            counts[key] = counts.get(key, 0) + 1
-                        h_keys = tuple(sorted(counts))
-                        y_partitions.append((ys, h_keys, tuple(counts[key] for key in h_keys)))
-                x_keys = [homology_reduce(x, d).coordinates for x in xs]
-                x_counts: Dict[Tuple[int, ...], int] = {}
-                for key in x_keys:
-                    x_counts[key] = x_counts.get(key, 0) + 1
-                g_keys = sorted(x_counts)
-                g_sizes = tuple(x_counts[key] for key in g_keys)
+                        y_partitions.append((ys, *_classify(ys, dp, y_memo)))
+                g_keys, g_sizes = _classify(xs, d, x_memo)
                 for ys, h_keys, h_sizes in y_partitions:
                     if len(h_sizes) > len(g_sizes):
                         continue
@@ -439,20 +440,18 @@ def witness_search(
                         calls += 1
                         if calls > budget.call_cap:
                             return finish(BUDGET_EXCEEDED)
-                        pairs = [(g_keys[g], h_keys[f[g]]) for g in range(len(g_keys))]
+                        pairs = [(key, h_keys[h]) for key, h in zip(g_keys, f)]
                         if not feasibility.exists(pairs):
                             continue
                         mat = hom_exists(d, dp, pairs)
                         assert mat is not None
-                        y_classes: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-                        for y in ys:
-                            y_classes.setdefault(y_class[y], []).append(y)
-                        image = {key: y_classes[h_keys[h]] for key, h in zip(g_keys, f)}
-                        ys_aligned = [image[key].pop(0) for key in x_keys]
-                        return finish(
-                            FEASIBLE,
-                            FeasibilityWitness(n, d, dp, l, q, tuple(xs), tuple(ys_aligned), mat),
-                        )
+                        image, unpaired, ys_aligned = dict(pairs), list(ys), []
+                        for x in xs:  # the first unpaired y of x's image class
+                            y = next(y for y in unpaired if y_memo[y] == image[x_memo[x]])
+                            unpaired.remove(y)
+                            ys_aligned.append(y)
+                        witness = FeasibilityWitness(n, d, dp, l, q, xs, ys_aligned, mat)
+                        return finish(FEASIBLE, witness)
     return finish(INFEASIBLE if finite else BUDGET_EXCEEDED)
 
 

@@ -87,6 +87,9 @@ class TestUsageErrors:
             ("spectrum", "--n", "2", "--degrees", "2,1", "--action-cap", "-1"),
             ("decide", "--n", "2", "--source", "2", "--target", "3", "--threads", "0"),
             ("decide", "--n", "2.5", "--source", "2", "--target", "3"),
+            ("decide", "--n", "2", "--source", "2", "--target", "3", "--time-cap", "inf"),
+            ("decide", "--n", "2", "--source", "3,2,2", "--target", "7,2",
+             "--out", "/nonexistent/x.json"),
         ],
     )
     def test_exit_64_with_stderr(self, args):
@@ -94,6 +97,13 @@ class TestUsageErrors:
         assert r.returncode == 64
         assert r.stderr.strip() != ""
         assert r.stdout == ""
+
+    def test_unwritable_out_fails_before_the_query(self, tmp_path):
+        missing = tmp_path / "missing" / "record.json"
+        r = run_cli("decide", "--n", "2", "--source", "3,2,2", "--target", "7,2",
+                    "--out", str(missing))
+        assert (r.returncode, r.stdout) == (64, "")
+        assert r.stderr.startswith("error: argument --out: ")
 
 
 class TestLeqqCommand:

@@ -286,7 +286,7 @@ class TestWitnessSearch:
         "field, value",
         [("q_cap", True), ("call_cap", True), ("time_cap", True),
          ("q_cap", 0), ("call_cap", 1.5), ("time_cap", 0),
-         ("time_cap", "5"), ("time_cap", [1])],
+         ("time_cap", "5"), ("time_cap", [1]), ("time_cap", float("inf"))],
     )
     def test_budget_rejects_bad_caps(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -364,6 +364,26 @@ class TestWitnessSearch:
         monkeypatch.setattr(engine, "enumerate_vector_partitions", counting)
         witness_search(n, src, dst, Budget(call_cap=2000))
         assert target_parts == built
+
+    @pytest.mark.parametrize(
+        "n, src, dst, budget",
+        [(2, (3, 3), (7, 7), None), (3, (4, 3), (9, 9), Budget(call_cap=2000))],
+    )
+    def test_each_vector_reduced_once_per_side(self, monkeypatch, n, src, dst, budget):
+        # source and target partitions share vectors across cells; each
+        # (vector, degrees) pair is reduced once per search
+        import hsembed.engine as engine
+
+        reduced = []
+
+        def recording(vector, degrees):
+            reduced.append((tuple(vector), tuple(degrees)))
+            return homology_reduce(vector, degrees)
+
+        monkeypatch.setattr(engine, "homology_reduce", recording)
+        witness_search(n, src, dst, budget)
+        assert reduced
+        assert [pair for pair, times in collections.Counter(reduced).items() if times > 1] == []
 
     def test_frozen_outcome_digest(self):
         # status, calls, bounds and witness of every query of the search
