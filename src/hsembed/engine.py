@@ -227,15 +227,27 @@ def enumerate_vector_partitions(
     form).  The multisets come in descending lexicographic order of those
     tuples, the same order as the brute-force ``partitions_of_vector``.
 
-    Method: a ranked part list and a recursive split.  Every admissible
-    part (nonzero, at most ``target`` coordinatewise, support at most
-    ``max_support``) is listed once, in descending lexicographic order,
-    and ranked by its place in that list.  The split takes a part of rank
-    i and splits what is left into one part fewer, with parts of rank i
-    or more; the last part is forced to be what is left.  A branch is cut
-    when what is left has fewer units than parts, more nonzero coordinates
-    than the parts can cover, or a first coordinate that the remaining
-    parts, none larger than the current one, cannot reach.
+    Method: a ranked part list and a memoized walk over sub-split states.
+    Every admissible part (nonzero, at most ``target`` coordinatewise,
+    support at most ``max_support``) is listed once, in descending
+    lexicographic order, and ranked by its place in that list.  A state is
+    what is left, the number of parts left, and the least rank they may
+    have; taking a part of rank i leaves one part fewer, of least rank i.
+    Each state's fitting parts are listed once, in a dict that lives only
+    as long as the generator.  The listing skips a part that leaves less
+    than a unit for each other part, and stops at the first part whose
+    first coordinate, times the parts left, falls short of what is left's
+    (no later part has a larger one).  A state with more nonzero
+    coordinates than its parts can cover lists nothing, and a state found
+    to have no completion is stored as an empty list and not walked again.
+    With two parts left, a state lists its pairs in one step: a part, then
+    what is left if its rank is no smaller.  An explicit stack walks the
+    states, so each multiset is built once, as the parts chosen so far plus
+    one pair.  Memory grows with the states visited, not with the multisets
+    yielded.
+
+    >>> list(enumerate_vector_partitions((2, 1), 2, 2))
+    [((2, 0), (0, 1)), ((1, 1), (1, 0))]
 
     Raises ValueError unless ``target`` is a nonempty, nonzero vector of
     nonnegative ints and ``parts`` and ``max_support`` are positive ints
@@ -267,30 +279,70 @@ def enumerate_vector_partitions(
 
     list_parts(0, 0)
     rank = {w: i for i, w in enumerate(part_list)}
+    sizes = [sum(w) for w in part_list]
 
-    def split(
-        remaining: Tuple[int, ...], nparts: int, start: int
-    ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-        if nparts == 1:
-            if rank.get(remaining, -1) >= start:
-                yield (remaining,)
+    def walk() -> Iterator[Tuple[Tuple[int, ...], ...]]:
+        if parts == 1:
+            if tgt in rank:
+                yield (tgt,)
             return
-        if sum(remaining) < nparts:  # every part must be nonzero
-            return
-        if sum(1 for c in remaining if c) > nparts * max_support:
-            return
-        lead = remaining[0]
-        for i in range(start, len(part_list)):
-            w = part_list[i]
-            if w[0] * nparts < lead:  # no part from here on has a larger lead
-                break
-            rest = tuple(map(sub, remaining, w))
-            if min(rest) < 0:
-                continue
-            for tail in split(rest, nparts - 1, i):
-                yield (w,) + tail
+        # (what is left, parts left, least rank) -> the state's fitting parts
+        # as (rank, part, what it leaves), or with two parts left its
+        # (part, last part) pairs; [] once the state is known to lead nowhere
+        memo: Dict[Tuple[Tuple[int, ...], int, int], list] = {}
 
-    return split(tgt, parts, 0)
+        def listed(state: Tuple[Tuple[int, ...], int, int]) -> list:
+            remaining, nparts, start = state
+            room = sum(remaining) - nparts + 1  # every other part takes a unit
+            found: list = []
+            if room >= 1 and sum(1 for c in remaining if c) <= nparts * max_support:
+                lead = remaining[0]
+                for i in range(start, len(part_list)):
+                    w = part_list[i]
+                    if w[0] * nparts < lead:  # no part from here on has a larger lead
+                        break
+                    if sizes[i] > room:
+                        continue
+                    rest = tuple(map(sub, remaining, w))
+                    if min(rest) >= 0:
+                        found.append((i, w, rest))
+            if nparts == 2:  # the last part is what is left, of rank i or more
+                found = [(w, rest) for i, w, rest in found if rank.get(rest, -1) >= i]
+            memo[state] = found
+            return found
+
+        top = (tgt, parts, 0)
+        if parts == 2:
+            yield from listed(top)
+            return
+        yielded = 0
+        # a frame: the parts chosen so far, its state, the fitting parts of
+        # that state still to walk, and the count yielded before it
+        stack = [((), top, iter(listed(top)), 0)]
+        while stack:
+            prefix, state, todo, before = stack[-1]
+            nparts = state[1]
+            for i, w, rest in todo:
+                child = (rest, nparts - 1, i)
+                found = memo.get(child)
+                if found is None:
+                    found = listed(child)
+                if not found:
+                    continue
+                if nparts == 3:
+                    head = prefix + (w,)
+                    for pair in found:
+                        yield head + pair
+                    yielded += len(found)
+                else:
+                    stack.append((prefix + (w,), child, iter(found), yielded))
+                    break
+            else:
+                stack.pop()
+                if yielded == before:
+                    memo[state] = []
+
+    return walk()
 
 
 def _assignments(

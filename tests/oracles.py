@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from operator import sub
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from hsembed import DegreeTuple
 
@@ -149,6 +150,65 @@ def partitions_of_vector(
         if sums == list(target):
             found.add(tuple(sorted(combo, reverse=True)))
     return sorted(found, reverse=True)
+
+
+def ranked_split_partitions(
+    target: Sequence[int], parts: int, max_support: int
+) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """The same multisets as ``partitions_of_vector``, in the same order,
+    by a ranked part list and a recursive split.
+
+    Every admissible part is listed once, in descending lexicographic
+    order, and ranked by its place in that list.  The split takes a part of
+    rank i and splits what is left into one part fewer, with parts of rank
+    i or more; the last part is forced to be what is left.  Lazy, so it
+    reaches cells far too large for ``partitions_of_vector``.  Expects
+    valid arguments and does not check them.
+    """
+    tgt = tuple(target)
+    m = len(tgt)
+
+    part_list: List[Tuple[int, ...]] = []
+    prefix: List[int] = []
+
+    def list_parts(idx: int, support: int) -> None:
+        if idx == m:
+            if support:
+                part_list.append(tuple(prefix))
+            return
+        for c in range(tgt[idx], -1, -1):
+            if c and support == max_support:
+                continue
+            prefix.append(c)
+            list_parts(idx + 1, support + (1 if c else 0))
+            prefix.pop()
+
+    list_parts(0, 0)
+    rank = {w: i for i, w in enumerate(part_list)}
+
+    def split(
+        remaining: Tuple[int, ...], nparts: int, start: int
+    ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+        if nparts == 1:
+            if rank.get(remaining, -1) >= start:
+                yield (remaining,)
+            return
+        if sum(remaining) < nparts:  # every part must be nonzero
+            return
+        if sum(1 for c in remaining if c) > nparts * max_support:
+            return
+        lead = remaining[0]
+        for i in range(start, len(part_list)):
+            w = part_list[i]
+            if w[0] * nparts < lead:  # no part from here on has a larger lead
+                break
+            rest = tuple(map(sub, remaining, w))
+            if min(rest) < 0:
+                continue
+            for tail in split(rest, nparts - 1, i):
+                yield (w,) + tail
+
+    return split(tgt, parts, 0)
 
 
 def surface_embeds_naive(g: int, k: int, gt: int, kt: int) -> bool:

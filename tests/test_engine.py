@@ -3,6 +3,7 @@
 import collections
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -43,7 +44,19 @@ from hsembed import (
     witness_search,
 )
 
-from oracles import canonical_tuples, partitions_of_vector
+from oracles import canonical_tuples, partitions_of_vector, ranked_split_partitions
+
+# the benchmark's query sets: exhaustive NO searches, and searches capped at
+# CAPPED_CALL_CAP calls that end UNKNOWN
+SEARCH_QUERIES = (
+    (2, (3, 3), (7, 7)),
+    (2, (3, 1), (2, 1, 1, 1, 1)),
+    (2, (3, 1), (2, 2, 1, 1)),
+    (2, (3, 1), (2, 2, 2)),
+    (2, (3, 3), (5, 5)),
+)
+CAPPED_QUERIES = ((3, (4, 3), (9, 9)), (3, (4, 4), (9, 8)))
+CAPPED_CALL_CAP = 2000
 
 # the 30 tuples with sum <= 7 and at most 3 components
 SMALL_TUPLES = [d for d in canonical_tuples(7) if len(d) <= 3]
@@ -156,6 +169,41 @@ class TestVectorPartitions:
         assert len(got) == 67
         assert hashlib.sha256(repr(got).encode()).hexdigest() == (
             "6110c46ad14c535fefc24308640f081549ebab238c6103c766bfc6b4a6873474"
+        )
+
+    def test_matches_reference_on_the_benchmark_searches(self, monkeypatch):
+        import hsembed.engine as engine
+
+        calls = set()
+
+        def recording(target, parts, max_support):
+            calls.add((tuple(target), parts, max_support))
+            return enumerate_vector_partitions(target, parts, max_support)
+
+        monkeypatch.setattr(engine, "enumerate_vector_partitions", recording)
+        for n, src, dst in SEARCH_QUERIES:
+            witness_search(n, src, dst)
+        for n, src, dst in CAPPED_QUERIES:
+            witness_search(n, src, dst, Budget(call_cap=CAPPED_CALL_CAP))
+        assert len(calls) == 39  # of the 42 + 8 calls the searches make
+        for call in sorted(calls):
+            got = list(enumerate_vector_partitions(*call))
+            assert got == list(ranked_split_partitions(*call)), call
+
+    @pytest.mark.parametrize(
+        "target, parts, max_support, count",
+        [((12, 12), 9, 2, 56757), ((6, 6, 6), 8, 2, 40242)],
+    )
+    def test_matches_reference_on_large_cells(self, target, parts, max_support, count):
+        got = list(enumerate_vector_partitions(target, parts, max_support))
+        assert len(got) == count
+        assert got == list(ranked_split_partitions(target, parts, max_support))
+
+    def test_lazy_on_a_cell_too_large_to_list(self):
+        got = enumerate_vector_partitions((60, 60), 40, 2)
+        assert inspect.isgenerator(got)
+        assert list(itertools.islice(got, 3)) == list(
+            itertools.islice(ranked_split_partitions((60, 60), 40, 2), 3)
         )
 
     @pytest.mark.parametrize(
