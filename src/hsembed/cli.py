@@ -9,8 +9,10 @@ two-space indent, no volatile fields — byte-stable across runs for equal
 inputs) or a short human rendering with ``--human``, except that
 ``poset`` always prints DOT and takes no format flag.  ``--out FILE``
 additionally writes the full query record including wall time; the file
-is opened when the arguments are parsed, so a path that cannot be
-written is a usage error.  A usage error names the argument it concerns.
+is opened once every argument has passed its check, so a path that
+cannot be written is a usage error and a usage error leaves an existing
+file untouched.  ``DegreeTuple`` checks the degrees and ``Budget`` the
+caps.  A usage error names the argument it concerns.
 Exit codes: 0 = YES/true, 1 = NO/false, 2 = UNKNOWN, 64 = usage error,
 and 0 for the purely informational commands.
 """
@@ -22,7 +24,7 @@ import contextlib
 import json
 import sys
 import time
-from typing import Callable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import __version__, order
 from .engine import LIOUVILLE, MODES, Budget, decide, enumerate_vector_partitions
@@ -47,47 +49,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _degrees(text: str) -> DegreeTuple:
-    """Argument type: a comma-separated list of positive integers."""
+    """Argument type: comma-separated degrees, every field by ``DegreeTuple``."""
     try:
-        return DegreeTuple(int(p) for p in text.split(",") if p.strip())
+        return DegreeTuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated positive integers, got {text!r}"
         ) from None
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
-    """Argument type: an integer of at least ``minimum`` (1 or 0)."""
+def _checked(parse: Callable[[str], object], check: Callable[[object], object]) -> Callable:
+    """Argument type: ``check(parse(text))``, or ``check(text)`` when
+    ``parse`` rejects the text; ``check``'s ValueError is the usage error."""
 
-    def convert(text: str) -> int:
+    def convert(text: str) -> object:
         try:
-            value: object = int(text)
+            value: object = parse(text)
         except ValueError:
             value = text
-        return _require_int(value, "value", minimum, argparse.ArgumentTypeError)
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return convert
 
 
-def _seconds(text: str) -> float:
-    """Argument type: a time cap, by ``Budget``'s rule (finite and positive)."""
-    try:
-        value: object = float(text)
-    except ValueError:
-        value = text
-    try:
-        return Budget(time_cap=value).time_cap
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _int_at_least(minimum: int) -> Callable:
+    """Argument type: an integer of at least ``minimum`` (1 or 0)."""
+    return _checked(int, lambda value: _require_int(value, "value", minimum))
 
 
-def _out_file(path: str) -> TextIO:
-    """Argument type: a file opened for writing now, so that a path that
-    cannot be written is a usage error before any work is done."""
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise argparse.ArgumentTypeError(f"cannot open {path!r}: {exc.strerror}") from None
+def _cap(name: str, parse: Callable[[str], object]) -> Callable:
+    """Argument type: the ``Budget`` field ``name``, by ``Budget``'s rule."""
+    return _checked(parse, lambda value: getattr(Budget(**{name: value}), name))
 
 
 def build_parser() -> _Parser:
@@ -100,9 +95,9 @@ def build_parser() -> _Parser:
     p.add_argument("--source", type=_degrees, required=True, help="comma-separated source degrees")
     p.add_argument("--target", type=_degrees, required=True, help="comma-separated target degrees")
     p.add_argument("--mode", choices=MODES, default=LIOUVILLE)
-    p.add_argument("--q-cap", type=_int_at_least(1), default=4, dest="q_cap")
-    p.add_argument("--call-cap", type=_int_at_least(1), default=10**6, dest="call_cap")
-    p.add_argument("--time-cap", type=_seconds, default=None, dest="time_cap")
+    p.add_argument("--q-cap", type=_cap("q_cap", int), dest="q_cap")
+    p.add_argument("--call-cap", type=_cap("call_cap", int), dest="call_cap")
+    p.add_argument("--time-cap", type=_cap("time_cap", float), dest="time_cap")
     p.add_argument(
         "--threads", type=_int_at_least(1), default=1,
         help="accepted for compatibility; the search runs sequentially",
@@ -130,9 +125,7 @@ def build_parser() -> _Parser:
         fmt.add_argument("--json", action="store_true", default=True, dest="as_json")
         fmt.add_argument("--human", action="store_false", dest="as_json")
     for p in sub.choices.values():
-        p.add_argument(
-            "--out", type=_out_file, metavar="FILE", help="also write the full query record"
-        )
+        p.add_argument("--out", metavar="FILE", help="also write the full query record")
     return parser
 
 
@@ -152,16 +145,15 @@ def _record(command: str, inputs: dict, payload: dict) -> dict:
 
 
 def cmd_decide(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
-    budget = Budget(q_cap=args.q_cap, call_cap=args.call_cap, time_cap=args.time_cap)
+    caps = {name: getattr(args, name) for name in ("q_cap", "call_cap", "time_cap")}
+    budget = Budget(**{name: cap for name, cap in caps.items() if cap is not None})
     verdict = decide(args.n, args.source, args.target, args.mode, budget, args.threads)
     inputs = {
         "n": args.n,
         "source": list(args.source),
         "target": list(args.target),
         "mode": args.mode,
-        "q_cap": budget.q_cap,
-        "call_cap": budget.call_cap,
-        "time_cap": budget.time_cap,
+        **budget.to_json(),
         "threads": args.threads,
     }
     record = _record(
@@ -279,14 +271,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with args.out or contextlib.nullcontext():
+    try:
+        out = None if args.out is None else open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: argument --out: cannot open {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    with out or contextlib.nullcontext():
         started = time.monotonic()
         record, lines, code = args.run(args)
         sys.stdout.write(_dump(record) if args.as_json else "\n".join(lines) + "\n")
-        if args.out:
+        if out:
             full = dict(record)
             full["wall_time_ms"] = int((time.monotonic() - started) * 1000)
-            args.out.write(_dump(full))
+            out.write(_dump(full))
     return code
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
+import sys
 import time
 from dataclasses import dataclass
 from operator import sub
@@ -83,9 +83,9 @@ class Budget(_JsonFields):
     ``call_cap`` is a hard bound on the running total of logical
     homomorphism queries of one search; a search that reaches it stops at
     the next query and reports ``call_cap + 1`` calls.  ``time_cap`` is a
-    wall-clock limit in seconds (a finite positive int or float) and is
-    the one knob that trades determinism for latency (leave it None for
-    reproducible runs).  A bad value of any field raises ValueError.
+    wall-clock limit in seconds (a positive number, at most the largest
+    float), the one knob that trades determinism for latency (None keeps
+    runs reproducible).  A bad value of any field raises ValueError.
     """
 
     q_cap: int = 4
@@ -98,7 +98,7 @@ class Budget(_JsonFields):
         cap = self.time_cap
         if cap is not None and (
             isinstance(cap, bool) or not isinstance(cap, (int, float))
-            or not (cap > 0 and math.isfinite(cap))
+            or not 0 < cap <= sys.float_info.max
         ):
             raise ValueError(f"time_cap must be a finite positive number or None, got {cap!r}")
 
@@ -141,6 +141,8 @@ class FeasibilityWitness(_JsonFields):
         object.__setattr__(self, "target", DegreeTuple(self.target))
         object.__setattr__(self, "xs", tuple(_require_ints(v, "source vector") for v in self.xs))
         object.__setattr__(self, "ys", tuple(_require_ints(v, "target vector") for v in self.ys))
+        if not isinstance(self.matrix, IntMatrix):
+            object.__setattr__(self, "matrix", IntMatrix(self.matrix))
 
 
 def check_feasibility_witness(witness: FeasibilityWitness) -> List[str]:

@@ -90,6 +90,8 @@ class TestUsageErrors:
             ("decide", "--n", "2", "--source", "2", "--target", "3", "--time-cap", "inf"),
             ("decide", "--n", "2", "--source", "3,2,2", "--target", "7,2",
              "--out", "/nonexistent/x.json"),
+            ("decide", "--n", "2", "--source", "3,,3", "--target", "4"),
+            ("decide", "--n", "2", "--source", "3,", "--target", "4"),
         ],
     )
     def test_exit_64_with_stderr(self, args):
@@ -104,6 +106,36 @@ class TestUsageErrors:
                     "--out", str(missing))
         assert (r.returncode, r.stdout) == (64, "")
         assert r.stderr.startswith("error: argument --out: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("decide", "--n", "0", "--source", "3", "--target", "4"),
+            ("decide", "--n", "2", "--source", "3"),
+            ("poset", "--n", "2", "--max-sum", "4", "--human"),
+        ],
+        ids=["bad-value", "missing-argument", "unknown-flag"],
+    )
+    def test_usage_error_leaves_out_alone(self, args, tmp_path):
+        kept = tmp_path / "keep.json"
+        kept.write_bytes(b'{"kept": true}\n')
+        fresh = tmp_path / "fresh.json"
+        for out in (kept, fresh):
+            r = run_cli(args[0], "--out", str(out), *args[1:])
+            assert (r.returncode, r.stdout) == (64, "")
+        assert kept.read_bytes() == b'{"kept": true}\n'
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--q-cap", "0", "q_cap must be a positive integer, got 0"),
+         ("--call-cap", "2.5", "call_cap must be a positive integer, got '2.5'")],
+        ids=["q_cap", "call_cap"],
+    )
+    def test_caps_checked_by_budget(self, flag, value, message):
+        r = run_cli("decide", "--n", "2", "--source", "3", "--target", "4", flag, value)
+        assert (r.returncode, r.stdout) == (64, "")
+        assert r.stderr == f"error: argument {flag}: {message}\n"
 
 
 class TestLeqqCommand:

@@ -19,6 +19,7 @@ from hsembed import (
     DecompositionWitness,
     DegreeTuple,
     FN_ALMOST_SYMPLECTIC,
+    FeasibilityWitness,
     GCD_SINGLE,
     HYPERPLANE_TARGET,
     HypothesisViolated,
@@ -334,7 +335,8 @@ class TestWitnessSearch:
         "field, value",
         [("q_cap", True), ("call_cap", True), ("time_cap", True),
          ("q_cap", 0), ("call_cap", 1.5), ("time_cap", 0),
-         ("time_cap", "5"), ("time_cap", [1]), ("time_cap", float("inf"))],
+         ("time_cap", "5"), ("time_cap", [1]), ("time_cap", float("inf")),
+         pytest.param("time_cap", 10**400, id="time_cap-10**400")],
     )
     def test_budget_rejects_bad_caps(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -450,13 +452,16 @@ class TestWitnessSearch:
         )
 
     def test_every_corpus_witness_checks(self):
-        # witness_search does not re-check the witnesses it returns
+        # witness_search does not re-check the witnesses it returns; each one
+        # also checks when rebuilt from its own JSON
         checked = 0
         for n, src, dst, out in _search_corpus():
             if out.status == "FEASIBLE":
                 w = out.witness
                 assert (w.n, w.source, w.target) == (n, src, dst)
                 assert check_feasibility_witness(w) == [], (n, src, dst)
+                rebuilt = FeasibilityWitness(**w.to_json())
+                assert rebuilt == w and check_feasibility_witness(rebuilt) == [], (n, src, dst)
                 checked += 1
         assert checked == 676
 
