@@ -39,6 +39,7 @@ import itertools
 import json
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -421,7 +422,15 @@ def witness_search(
     side.  A source partition skips, at 0 calls, every target partition
     with more classes than it has groups, since none admits an assignment.
     The assignments of each pair of group and class sizes are listed once
-    per search.
+    per search, in lexicographic order.
+
+    Dropping (source class, target class) pairs drops equations, so an
+    assignment whose pairs have an infeasible prefix is infeasible.  Before
+    the full pair list, the search asks about its proper prefixes, shortest
+    first, each answer memoized for the search.  An infeasible prefix rules
+    out the contiguous block of assignments that share it: the search skips
+    the block and counts each of its assignments as one call, so calls, the
+    cap point and witnesses are those of asking every assignment in turn.
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
@@ -469,6 +478,11 @@ def witness_search(
         # the search reads at most call_cap + 1 of them before it stops
         return tuple(itertools.islice(_assignments(g_sizes, h_sizes), budget.call_cap + 1))
 
+    @functools.cache
+    def feasible(prefix: tuple) -> bool:
+        # a proper prefix of a pair list; dropping pairs drops equations
+        return feasibility.exists(prefix)
+
     for l, q_max in zip(range(sd, sdp + 1), q_maxes):
         # each target partition of l with its sorted class keys and counts
         y_partitions: Optional[list] = None
@@ -490,12 +504,20 @@ def witness_search(
                         continue
                     if deadline is not None and time.monotonic() > deadline:
                         return finish(BUDGET_EXCEEDED)
-                    for f in assignments(g_sizes, h_sizes):
-                        calls += 1
+                    fs = assignments(g_sizes, h_sizes)
+                    i = 0
+                    while i < len(fs):
+                        f = fs[i]
+                        pairs = tuple(zip(g_keys, (h_keys[h] for h in f)))
+                        j = next((j for j in range(1, len(f)) if not feasible(pairs[:j])), 0)
+                        # j > 0: f[:j] is infeasible, and so is each assignment in
+                        # [i, end), which all extend it; each counts as one call
+                        end = bisect_left(fs, f[:j] + (len(h_sizes),), i) if j else i + 1
+                        calls = min(calls + end - i, budget.call_cap + 1)
                         if calls > budget.call_cap:
                             return finish(BUDGET_EXCEEDED)
-                        pairs = [(key, h_keys[h]) for key, h in zip(g_keys, f)]
-                        if not feasibility.exists(pairs):
+                        i = end
+                        if j or not feasibility.exists(pairs):
                             continue
                         mat = hom_exists(d, dp, pairs)
                         assert mat is not None

@@ -69,6 +69,30 @@ class TestDecideCommand:
         assert isinstance(file_blob.pop("wall_time_ms"), int)
         assert file_blob == stdout_blob
 
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_interrupted_query_leaves_out_alone(self, error, tmp_path, monkeypatch):
+        # the record is written beside the target and renamed over it only
+        # once the query is done
+        def interrupted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "decide", interrupted)
+        kept = tmp_path / "keep.json"
+        kept.write_bytes(b'{"kept": true}\n')
+        with pytest.raises(error):
+            cli.main(["decide", "--n", "2", "--source", "3", "--target", "4", "--out", str(kept)])
+        assert kept.read_bytes() == b'{"kept": true}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.json"]
+
+    def test_out_replaces_an_existing_record(self, tmp_path):
+        kept = tmp_path / "keep.json"
+        kept.write_bytes(b'{"kept": true}\n')
+        r = run_cli("decide", "--n", "2", "--source", "3,2,2", "--target", "7,2",
+                    "--out", str(kept))
+        assert r.returncode == 0
+        assert json.loads(kept.read_text())["verdict"] == json.loads(r.stdout)["verdict"]
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.json"]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

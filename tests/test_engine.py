@@ -364,6 +364,48 @@ class TestWitnessSearch:
         out = witness_search(n, src, dst, budget)
         assert (out.status, out.calls_used) == (status, calls)
 
+    @pytest.mark.parametrize(
+        "n, src, dst, calls, caps",
+        [
+            (2, (3, 3), (5, 5), 122, range(1, 123)),
+            (2, (3, 1), (2, 2, 2), 768, [*range(1, 51), *range(60, 768, 10), 767, 768]),
+        ],
+    )
+    def test_cap_point_of_an_infeasible_search(self, n, src, dst, calls, caps):
+        # assignments skipped behind an infeasible prefix still count one call
+        # each, so the search stops at the same call under every cap; small
+        # caps truncate the cached assignment lists, so a skip can reach
+        # their end
+        for cap in caps:
+            out = witness_search(n, src, dst, Budget(call_cap=cap))
+            expected = ("INFEASIBLE", calls) if cap == calls else ("BUDGET_EXCEEDED", cap + 1)
+            assert (out.status, out.calls_used) == expected, cap
+
+    def test_cap_point_of_a_feasible_search(self):
+        full = witness_search(3, (3, 2), (6, 1))
+        assert (full.status, full.calls_used) == ("FEASIBLE", 2185)
+        short = witness_search(3, (3, 2), (6, 1), Budget(call_cap=2184))
+        assert (short.status, short.calls_used) == ("BUDGET_EXCEEDED", 2185)
+        exact = witness_search(3, (3, 2), (6, 1), Budget(call_cap=2185))
+        assert exact.witness.to_json() == full.witness.to_json()
+
+    def test_infeasible_prefix_skips_its_extensions(self, monkeypatch):
+        # the search asks about 13,238 full assignments, one by one, without
+        # the prefix skip; with it, a few hundred lists and prefixes
+        import hsembed.lattice as lattice
+
+        asked = []
+        real = lattice.HomFeasibility.exists
+
+        def counting(self, pairs):
+            asked.append(len(pairs))
+            return real(self, pairs)
+
+        monkeypatch.setattr(lattice.HomFeasibility, "exists", counting)
+        out = witness_search(2, (3, 3), (7, 7))
+        assert (out.status, out.calls_used) == ("INFEASIBLE", 13238)
+        assert len(asked) < 1000
+
     def test_time_cap_checked_while_target_partitions_are_built(self, monkeypatch):
         # a counter clock passes the deadline on its fourth read, so the
         # search must stop within a few target partitions, whatever the
@@ -550,6 +592,34 @@ class TestDecide:
                     v = decide(n, src, dst, mode, Budget(call_cap=3000))
                     census[v.kind, v.certificate and v.certificate.rule] += 1
             assert dict(census) == counts, mode
+
+    def test_verdicts_obey_the_composition_laws(self):
+        # exact embeddings compose and are symplectic ones, so no YES(a->b),
+        # YES(b->c) pair meets NO(a->c) in one mode, and no Liouville YES
+        # meets a symplectic NO; a break names the NO rule at fault
+        tuples = [d for d in canonical_tuples(8) if len(d) <= 3]
+        modes = (LIOUVILLE, SYMPLECTIC)
+        verdicts, breaks = 0, []
+        for n in (1, 2, 3):
+            yes, no = {}, {}  # (mode, a) -> every b of a YES; (mode, a, b) -> NO rule
+            for mode, a, b in itertools.product(modes, tuples, tuples):
+                v = decide(n, a, b, mode, Budget(call_cap=3000))
+                verdicts += 1
+                if v.kind == YES:
+                    yes.setdefault((mode, a), set()).add(b)
+                elif v.kind == NO:
+                    no[mode, a, b] = v.certificate.rule
+            for (mode, a), bs in yes.items():
+                for b in bs:
+                    breaks += [
+                        (n, mode, a, b, c, no[mode, a, c])
+                        for c in yes.get((mode, b), ())
+                        if (mode, a, c) in no
+                    ]
+                    if mode == LIOUVILLE and (SYMPLECTIC, a, b) in no:
+                        breaks.append((n, SYMPLECTIC, a, b, no[SYMPLECTIC, a, b]))
+        assert verdicts == 9600
+        assert breaks == []
 
     def test_order_rung_runs_no_move_search(self, monkeypatch):
         # the decomposition alone decides and builds the witness; the
