@@ -8,12 +8,13 @@ Output contract: stdout carries either deterministic JSON (sorted keys,
 two-space indent, no volatile fields — byte-stable across runs for equal
 inputs) or a short human rendering with ``--human``, except that
 ``poset`` always prints DOT and takes no format flag.  ``--out FILE``
-additionally writes the full query record including wall time.  The
-record goes to a temporary file beside FILE, created once every argument
-has passed its check, so a path that cannot be written is a usage error;
-it is renamed over FILE once stdout is written, so a usage error, a
-failed or an interrupted query leaves an existing file untouched.
-``DegreeTuple`` checks the degrees and ``Budget`` the caps.  A usage error names the argument it concerns.
+additionally writes the full query record including wall time; the file
+is opened, without truncating it, once every argument has passed its
+check, so a path that cannot be written is a usage error, and it is
+rewritten only once stdout is written, so a usage error, a failed or an
+interrupted query leaves an existing file untouched.  ``DegreeTuple``
+checks the degrees and ``Budget`` the caps.  A usage error names the
+argument it concerns.
 Exit codes: 0 = YES/true, 1 = NO/false, 2 = UNKNOWN, 64 = usage error,
 and 0 for the purely informational commands.
 """
@@ -22,14 +23,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import json
 import os
 import stat
 import sys
-import tempfile
 import time
-from typing import IO, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import __version__, order
 from .engine import LIOUVILLE, MODES, Budget, decide, enumerate_vector_partitions
@@ -270,57 +269,28 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     return record, [text], EXIT_YES
 
 
-def _temporary_beside(path: str) -> IO[str]:
-    """A new text file in ``path``'s directory, to be renamed over ``path``.
-
-    It gets the mode of the file it will replace, or the mode a new file
-    would get.  Raises OSError when ``path`` is a directory or its
-    directory cannot take the file.
-    """
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    if stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    out = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=os.path.dirname(path),
-        prefix=os.path.basename(path) + ".", suffix=".tmp", delete=False,
-    )
-    os.chmod(out.name, stat.S_IMODE(mode))
-    return out
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # a symbolic link keeps pointing at the record, as when it was written through
-    target = None if args.out is None else os.path.realpath(args.out)
     try:
-        out = None if target is None else _temporary_beside(target)
+        # "a" does not truncate: an existing record stays until the query is done
+        out = None if args.out is None else open(args.out, "a", encoding="utf-8")
     except OSError as exc:
         print(f"error: argument --out: cannot open {args.out!r}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        with out or contextlib.nullcontext():
-            started = time.monotonic()
-            record, lines, code = args.run(args)
-            sys.stdout.write(_dump(record) if args.as_json else "\n".join(lines) + "\n")
-            if out:
-                full = dict(record)
-                full["wall_time_ms"] = int((time.monotonic() - started) * 1000)
-                out.write(_dump(full))
+    with out or contextlib.nullcontext():
+        started = time.monotonic()
+        record, lines, code = args.run(args)
+        sys.stdout.write(_dump(record) if args.as_json else "\n".join(lines) + "\n")
         if out:
-            os.replace(out.name, target)
-    except BaseException:  # KeyboardInterrupt included: the old record stays
-        if out:
-            os.unlink(out.name)
-        raise
+            full = dict(record)
+            full["wall_time_ms"] = int((time.monotonic() - started) * 1000)
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate(0)
+            out.write(_dump(full))
     return code
 
 

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -71,7 +74,7 @@ class TestDecideCommand:
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_interrupted_query_leaves_out_alone(self, error, tmp_path, monkeypatch):
-        # the record is written beside the target and renamed over it only
+        # the record file is opened without truncating it and rewritten only
         # once the query is done
         def interrupted(*args, **kwargs):
             raise error
@@ -92,6 +95,31 @@ class TestDecideCommand:
         assert r.returncode == 0
         assert json.loads(kept.read_text())["verdict"] == json.loads(r.stdout)["verdict"]
         assert [p.name for p in tmp_path.iterdir()] == ["keep.json"]
+
+    def test_out_writes_through_a_fifo(self, tmp_path):
+        fifo = tmp_path / "record.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code = cli.main(["leqq", "--source", "3,2,2", "--target", "7,2",
+                             "--out", str(fifo)])
+        finally:
+            reader.join(timeout=10)
+        assert code == 0 and not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert json.loads(received[0])["result"] is True
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_read_only_out_is_a_usage_error(self, tmp_path):
+        kept = tmp_path / "keep.json"
+        kept.write_bytes(b'{"kept": true}\n')
+        kept.chmod(0o444)
+        r = run_cli("decide", "--n", "2", "--source", "3,2,2", "--target", "7,2",
+                    "--out", str(kept))
+        assert (r.returncode, r.stdout) == (64, "")
+        assert kept.read_bytes() == b'{"kept": true}\n'
 
 
 class TestUsageErrors:
