@@ -35,14 +35,12 @@ for compatibility only.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
@@ -266,21 +264,15 @@ def enumerate_vector_partitions(
     m = len(tgt)
 
     part_list: List[Tuple[int, ...]] = []
-    prefix: List[int] = []
-
-    def list_parts(idx: int, support: int) -> None:
-        if idx == m:
-            if support:
-                part_list.append(tuple(prefix))
-            return
-        for c in range(tgt[idx], -1, -1):
-            if c and support == max_support:
-                continue
-            prefix.append(c)
-            list_parts(idx + 1, support + (1 if c else 0))
-            prefix.pop()
-
-    list_parts(0, 0)
+    # a part's leading coordinates and their support; the largest on top
+    stack: List[Tuple[Tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        prefix, support = stack.pop()
+        top = tgt[len(prefix)] if support < max_support else 0
+        if len(prefix) == m - 1:  # the last coordinate, down to 0 if nonzero
+            part_list.extend(prefix + (c,) for c in range(top, -1 if support else 0, -1))
+        else:
+            stack.extend((prefix + (c,), support + (c > 0)) for c in range(top + 1))
     rank = {w: i for i, w in enumerate(part_list)}
     sizes = [sum(w) for w in part_list]
 
@@ -348,37 +340,60 @@ def enumerate_vector_partitions(
     return walk()
 
 
-def _assignments(
-    group_sizes: Sequence[int], class_sizes: Sequence[int]
-) -> Iterator[Tuple[int, ...]]:
-    """Ways to send each source-residue group wholly into one target-residue
-    class so that every class is filled exactly.
+def _completions(g_sizes: Tuple[int, ...], left: Tuple[int, ...], memo: dict) -> int:
+    """Ways to send groups of sizes ``g_sizes`` into classes with room ``left``
+    that fill every class exactly; ``memo`` caches the counts."""
+    if not g_sizes:
+        return int(not any(left))
+    key = (g_sizes, left)
+    if key not in memo:
+        memo[key] = sum(
+            _completions(g_sizes[1:], left[:h] + (room - g_sizes[0],) + left[h + 1:], memo)
+            for h, room in enumerate(left) if room >= g_sizes[0]
+        )
+    return memo[key]
 
-    Yields tuples f with f[g] = class index; deterministic lexicographic
-    order.  This is exactly the matching constraint: paired vectors with
-    equal source residues must share a target residue, so a pairing is a
-    function on residue groups, and filling each class exactly is the
-    multiset condition.
+
+def _assignment_blocks(
+    g_keys: Sequence, g_sizes: Tuple[int, ...], h_keys: Sequence, left: Tuple[int, ...],
+    feasible: Callable[[tuple], bool], memo: dict,
+) -> Iterator[Tuple[int, Optional[tuple]]]:
+    """Ways to send each source-residue group (key ``g_keys[g]``, size
+    ``g_sizes[g]``) wholly into one target-residue class (key ``h_keys[h]``,
+    room ``left[h]``) so that every class is filled exactly: paired vectors
+    with equal source residues share a target residue, and filling each
+    class exactly is the multiset condition.
+
+    A depth-first walk in lexicographic order of the classes chosen yields
+    each assignment as ``(1, its (group key, class key) pairs)``.  It puts
+    each proper prefix with a completion to ``feasible``, and on a no yields
+    ``(count, None)`` for the ``count`` assignments that extend it unwalked
+    (``_completions``, cached in ``memo``).
     """
-    remaining = list(class_sizes)
-    n_groups = len(group_sizes)
-    choice: List[int] = []
-
-    def rec(g: int) -> Iterator[Tuple[int, ...]]:
-        if g == n_groups:
-            if all(c == 0 for c in remaining):
-                yield tuple(choice)
-            return
-        size = group_sizes[g]
-        for h in range(len(remaining)):
-            if remaining[h] >= size:
-                remaining[h] -= size
-                choice.append(h)
-                yield from rec(g + 1)
-                choice.pop()
-                remaining[h] += size
-
-    return rec(0)
+    last = len(g_sizes) - 1
+    # a frame: the pairs chosen so far, the room left, the classes still to try
+    stack = [((), left, iter(range(len(left))))]
+    while stack:
+        pairs, room, todo = stack[-1]
+        g = len(pairs)
+        size, rest_sizes = g_sizes[g], g_sizes[g + 1:]
+        for h in todo:
+            if room[h] < size:
+                continue
+            rest = room[:h] + (room[h] - size,) + room[h + 1:]
+            count = _completions(rest_sizes, rest, memo)
+            if not count:
+                continue
+            head = pairs + ((g_keys[g], h_keys[h]),)
+            if g == last:
+                yield 1, head
+            elif feasible(head):
+                stack.append((head, rest, iter(range(len(rest)))))
+                break
+            else:
+                yield count, None
+        else:
+            stack.pop()
 
 
 def _classify(vectors: Sequence[tuple], degrees: DegreeTuple, memo: dict) -> Tuple[tuple, tuple]:
@@ -421,16 +436,13 @@ def witness_search(
     and computes every vector's homology class once per search, on either
     side.  A source partition skips, at 0 calls, every target partition
     with more classes than it has groups, since none admits an assignment.
-    The assignments of each pair of group and class sizes are listed once
-    per search, in lexicographic order.
 
-    Dropping (source class, target class) pairs drops equations, so an
-    assignment whose pairs have an infeasible prefix is infeasible.  Before
-    the full pair list, the search asks about its proper prefixes, shortest
-    first, each answer memoized for the search.  An infeasible prefix rules
-    out the contiguous block of assignments that share it: the search skips
-    the block and counts each of its assignments as one call, so calls, the
-    cap point and witnesses are those of asking every assignment in turn.
+    Dropping (source class, target class) pairs drops equations, so every
+    assignment that extends an infeasible prefix is infeasible.  One walk
+    in lexicographic order (``_assignment_blocks``) asks about the proper
+    prefixes it reaches, memoized for the search, and skips the assignments
+    behind an infeasible one unbuilt, counting one call for each, so calls,
+    the cap point and witnesses are those of asking every one in turn.
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
@@ -473,15 +485,8 @@ def witness_search(
     x_memo: Dict[tuple, tuple] = {}  # each side's class key of every vector seen
     y_memo: Dict[tuple, tuple] = {}
 
-    @functools.cache
-    def assignments(g_sizes: Tuple[int, ...], h_sizes: Tuple[int, ...]) -> tuple:
-        # the search reads at most call_cap + 1 of them before it stops
-        return tuple(itertools.islice(_assignments(g_sizes, h_sizes), budget.call_cap + 1))
-
-    @functools.cache
-    def feasible(prefix: tuple) -> bool:
-        # a proper prefix of a pair list; dropping pairs drops equations
-        return feasibility.exists(prefix)
+    feasible = functools.cache(feasibility.exists)  # asked of proper prefixes only
+    completions: dict = {}  # (group sizes left, class room left) -> count
 
     for l, q_max in zip(range(sd, sdp + 1), q_maxes):
         # each target partition of l with its sorted class keys and counts
@@ -504,20 +509,13 @@ def witness_search(
                         continue
                     if deadline is not None and time.monotonic() > deadline:
                         return finish(BUDGET_EXCEEDED)
-                    fs = assignments(g_sizes, h_sizes)
-                    i = 0
-                    while i < len(fs):
-                        f = fs[i]
-                        pairs = tuple(zip(g_keys, (h_keys[h] for h in f)))
-                        j = next((j for j in range(1, len(f)) if not feasible(pairs[:j])), 0)
-                        # j > 0: f[:j] is infeasible, and so is each assignment in
-                        # [i, end), which all extend it; each counts as one call
-                        end = bisect_left(fs, f[:j] + (len(h_sizes),), i) if j else i + 1
-                        calls = min(calls + end - i, budget.call_cap + 1)
+                    for count, pairs in _assignment_blocks(
+                        g_keys, g_sizes, h_keys, h_sizes, feasible, completions
+                    ):
+                        calls = min(calls + count, budget.call_cap + 1)
                         if calls > budget.call_cap:
                             return finish(BUDGET_EXCEEDED)
-                        i = end
-                        if j or not feasibility.exists(pairs):
+                        if pairs is None or not feasibility.exists(pairs):
                             continue
                         mat = hom_exists(d, dp, pairs)
                         assert mat is not None

@@ -211,6 +211,39 @@ def ranked_split_partitions(
     return split(tgt, parts, 0)
 
 
+def _assignments(
+    group_sizes: Sequence[int], class_sizes: Sequence[int]
+) -> Iterator[Tuple[int, ...]]:
+    """Ways to send each source-residue group wholly into one target-residue
+    class so that every class is filled exactly.
+
+    Yields tuples f with f[g] = class index; deterministic lexicographic
+    order.  This is exactly the matching constraint: paired vectors with
+    equal source residues must share a target residue, so a pairing is a
+    function on residue groups, and filling each class exactly is the
+    multiset condition.
+    """
+    remaining = list(class_sizes)
+    n_groups = len(group_sizes)
+    choice: List[int] = []
+
+    def rec(g: int) -> Iterator[Tuple[int, ...]]:
+        if g == n_groups:
+            if all(c == 0 for c in remaining):
+                yield tuple(choice)
+            return
+        size = group_sizes[g]
+        for h in range(len(remaining)):
+            if remaining[h] >= size:
+                remaining[h] -= size
+                choice.append(h)
+                yield from rec(g + 1)
+                choice.pop()
+                remaining[h] += size
+
+    return rec(0)
+
+
 def surface_embeds_naive(g: int, k: int, gt: int, kt: int) -> bool:
     """Genus/puncture criterion restated from scratch."""
     return g <= gt and k - kt <= gt - g

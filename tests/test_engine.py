@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import gc
 import hashlib
 import inspect
 import itertools
@@ -44,8 +45,9 @@ from hsembed import (
     verify_verdict,
     witness_search,
 )
+from hsembed.engine import _assignment_blocks
 
-from oracles import canonical_tuples, partitions_of_vector, ranked_split_partitions
+from oracles import _assignments, canonical_tuples, partitions_of_vector, ranked_split_partitions
 
 # the benchmark's query sets: exhaustive NO searches, and searches capped at
 # CAPPED_CALL_CAP calls that end UNKNOWN
@@ -73,6 +75,15 @@ def _search_corpus():
         for src, dst in itertools.product(SMALL_TUPLES, repeat=2)
         if src.total() >= n + 1 and dst.total() >= n + 1
     ]
+
+
+def _compositions(total):
+    """Every tuple of positive ints with sum total."""
+    if not total:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first, *rest)
 
 
 def _oracle_parts_cap(target):
@@ -373,9 +384,8 @@ class TestWitnessSearch:
     )
     def test_cap_point_of_an_infeasible_search(self, n, src, dst, calls, caps):
         # assignments skipped behind an infeasible prefix still count one call
-        # each, so the search stops at the same call under every cap; small
-        # caps truncate the cached assignment lists, so a skip can reach
-        # their end
+        # each, so the search stops at the same call under every cap; a small
+        # cap can fall inside a skipped block, and the search stops there
         for cap in caps:
             out = witness_search(n, src, dst, Budget(call_cap=cap))
             expected = ("INFEASIBLE", calls) if cap == calls else ("BUDGET_EXCEEDED", cap + 1)
@@ -405,6 +415,56 @@ class TestWitnessSearch:
         out = witness_search(2, (3, 3), (7, 7))
         assert (out.status, out.calls_used) == ("INFEASIBLE", 13238)
         assert len(asked) < 1000
+
+    @pytest.mark.parametrize("total", range(1, 9))
+    def test_assignment_blocks_match_the_reference(self, total):
+        # every pair of group and class sizes summing to total, one count
+        # memo for all of them as in a search: with every prefix feasible the
+        # walk yields the reference's assignments one by one, in order; with
+        # some prefixes infeasible, each block is the whole contiguous run of
+        # the reference's assignments that extend the first infeasible prefix
+        def feasible(pairs):
+            return (sum(h for _, h in pairs) + len(pairs)) % 3 != 2
+
+        memo: dict = {}
+        blocks = 0
+        for g_sizes, h_sizes in itertools.product(_compositions(total), repeat=2):
+            g_keys = "abcdefgh"[: len(g_sizes)]  # and each class's key is its index
+            ref = [tuple(zip(g_keys, f)) for f in _assignments(g_sizes, h_sizes)]
+            walk = _assignment_blocks(g_keys, g_sizes, range(8), h_sizes, lambda p: True, memo)
+            assert list(walk) == [(1, pairs) for pairs in ref]
+
+            i = 0
+            for count, pairs in _assignment_blocks(
+                g_keys, g_sizes, range(8), h_sizes, feasible, memo
+            ):
+                full = ref[i]
+                cut = next((j for j in range(1, len(full)) if not feasible(full[:j])), None)
+                if pairs is not None:
+                    assert (count, pairs, cut) == (1, full, None)
+                else:
+                    head = full[:cut]
+                    assert cut is not None and (i == 0 or ref[i - 1][:cut] != head)
+                    end = next((j for j in range(i, len(ref)) if ref[j][:cut] != head), len(ref))
+                    assert count == end - i
+                    blocks += 1
+                i += count
+            assert i == len(ref), (g_sizes, h_sizes)
+        assert blocks or total == 1
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        # the search builds no reference cycles, so what it allocates is
+        # freed when it returns, not when the cyclic collector next runs
+        queries = [(query, None) for query in SEARCH_QUERIES]
+        queries += [(query, Budget(call_cap=CAPPED_CALL_CAP)) for query in CAPPED_QUERIES]
+        gc.collect()
+        gc.disable()
+        try:
+            for (n, src, dst), budget in queries:
+                witness_search(n, src, dst, budget)
+                assert gc.collect() == 0, (n, src, dst)
+        finally:
+            gc.enable()
 
     def test_time_cap_checked_while_target_partitions_are_built(self, monkeypatch):
         # a counter clock passes the deadline on its fourth read, so the
