@@ -40,7 +40,7 @@ import sys
 import time
 from dataclasses import dataclass
 from operator import sub
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
@@ -217,8 +217,23 @@ class SearchOutcome:
     calls_used: int
 
 
+_CHUNK = 4096  # parts a listing scans between two reads of the clock
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    """Raise TimeoutError once ``time.monotonic()`` is past ``deadline``."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("the deadline has passed")
+
+
 def enumerate_vector_partitions(
-    target: Sequence[int], parts: int, max_support: int
+    target: Sequence[int],
+    parts: int,
+    max_support: int,
+    *,
+    max_classes: Optional[int] = None,
+    class_of: Optional[Callable[[Tuple[int, ...]], Hashable]] = None,
+    deadline: Optional[float] = None,
 ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """All multisets of ``parts`` nonzero nonnegative vectors with the given
     coordinatewise sum and per-vector support bound.
@@ -228,19 +243,34 @@ def enumerate_vector_partitions(
     form).  The multisets come in descending lexicographic order of those
     tuples, the same order as the brute-force ``partitions_of_vector``.
 
+    With ``max_classes``, only the multisets whose parts fall into at most
+    that many classes are yielded, in the same order: the sequence is the
+    unbounded one with the others filtered out.  A part's class is
+    ``class_of(part)`` (by default the part itself, so the bound is on
+    distinct parts); it is asked once per part, and only for the parts the
+    walk reaches.  With ``deadline``, a value of ``time.monotonic()``, the
+    generator raises TimeoutError once the clock has passed it.  It reads
+    the clock while it builds its part list, every few thousand parts a
+    listing scans, at every step of its walk and before it classifies a
+    new part, so a walk that cuts much and yields little still stops.
+
     Method: a ranked part list and a memoized walk over sub-split states.
     Every admissible part (nonzero, at most ``target`` coordinatewise,
-    support at most ``max_support``) is listed once, in descending
-    lexicographic order, and ranked by its place in that list.  A state is
-    what is left, the number of parts left, and the least rank they may
-    have; taking a part of rank i leaves one part fewer, of least rank i.
-    Each state's fitting parts are listed once, in a dict that lives only
-    as long as the generator.  The listing skips a part that leaves less
-    than a unit for each other part, and stops at the first part whose
-    first coordinate, times the parts left, falls short of what is left's
-    (no later part has a larger one).  A state with more nonzero
-    coordinates than its parts can cover lists nothing, and a state found
-    to have no completion is stored as an empty list and not walked again.
+    support at most ``max_support``) is listed once, when the first
+    multiset is asked for, in descending lexicographic order, and ranked
+    by its place in that list.  A state is what is left, the number of
+    parts left, and the least rank they may have; taking a part of rank i
+    leaves one part fewer, of least rank i.  Each state's fitting parts are
+    listed once, in a dict that lives only as long as the generator.  The
+    listing skips a part that leaves less than a unit for each other part,
+    and scans only the parts whose first coordinate, times the parts left,
+    reaches what is left's (a count of parts by first coordinate, taken
+    with the list, says where they end).  A state
+    with more nonzero coordinates than its parts can cover lists nothing.
+    A state whose walk yielded nothing is stored as an empty list and not
+    walked again, unless the class bound cut something below it: the bound
+    depends on the classes taken before the state, the state's parts do
+    not.  The classes taken so far are an int bitmask, one bit per class.
     With two parts left, a state lists its pairs in one step: a part, then
     what is left if its rank is no smaller.  An explicit stack walks the
     states, so each multiset is built once, as the parts chosen so far plus
@@ -249,10 +279,15 @@ def enumerate_vector_partitions(
 
     >>> list(enumerate_vector_partitions((2, 1), 2, 2))
     [((2, 0), (0, 1)), ((1, 1), (1, 0))]
+    >>> list(enumerate_vector_partitions((2, 1), 2, 2, max_classes=1, class_of=max))
+    [((1, 1), (1, 0))]
+    >>> next(enumerate_vector_partitions((2, 1), 2, 2, deadline=time.monotonic() - 1))
+    Traceback (most recent call last):
+    TimeoutError: the deadline has passed
 
     Raises ValueError unless ``target`` is a nonempty, nonzero vector of
-    nonnegative ints and ``parts`` and ``max_support`` are positive ints
-    (bools are rejected).
+    nonnegative ints and ``parts``, ``max_support`` and ``max_classes``
+    (if given) are positive ints (bools are rejected).
     """
     tgt = _require_ints(target, "target")
     if not tgt:
@@ -261,26 +296,58 @@ def enumerate_vector_partitions(
         raise ValueError(f"target must be nonzero with nonnegative entries, got {tgt}")
     _require_int(parts, "parts")
     _require_int(max_support, "max_support")
+    if max_classes is not None:
+        _require_int(max_classes, "max_classes")
     m = len(tgt)
-
-    part_list: List[Tuple[int, ...]] = []
-    # a part's leading coordinates and their support; the largest on top
-    stack: List[Tuple[Tuple[int, ...], int]] = [((), 0)]
-    while stack:
-        prefix, support = stack.pop()
-        top = tgt[len(prefix)] if support < max_support else 0
-        if len(prefix) == m - 1:  # the last coordinate, down to 0 if nonzero
-            part_list.extend(prefix + (c,) for c in range(top, -1 if support else 0, -1))
-        else:
-            stack.extend((prefix + (c,), support + (c > 0)) for c in range(top + 1))
-    rank = {w: i for i, w in enumerate(part_list)}
-    sizes = [sum(w) for w in part_list]
+    # a multiset of `parts` parts has at most `parts` classes
+    bounded = max_classes is not None and max_classes < parts
+    key_of = class_of or (lambda part: part)
 
     def walk() -> Iterator[Tuple[Tuple[int, ...], ...]]:
+        # every admissible part in descending lexicographic order, its rank
+        # (place in that order) and its size, built under the clock
+        part_list: List[Tuple[int, ...]] = []
+        rank: Dict[Tuple[int, ...], int] = {}
+        sizes: List[int] = []
+        # ahead[v]: how many parts have first coordinate v, and then at least
+        # v, which is where the parts with a smaller one start
+        ahead = [0] * (tgt[0] + 2)
+        # a part's leading coordinates and their support; the largest on top
+        prefixes: List[Tuple[Tuple[int, ...], int]] = [((), 0)]
+        while prefixes:
+            _check_deadline(deadline)
+            prefix, support = prefixes.pop()
+            top = tgt[len(prefix)] if support < max_support else 0
+            if len(prefix) == m - 1:  # the last coordinate, down to 0 if nonzero
+                new = [prefix + (c,) for c in range(top, -1 if support else 0, -1)]
+                rank.update(zip(new, range(len(part_list), len(part_list) + len(new))))
+                sizes.extend(map(sum, new))
+                part_list.extend(new)
+                if prefix:
+                    ahead[prefix[0]] += len(new)
+                else:  # one coordinate: each part is its own first one
+                    for (c,) in new:
+                        ahead[c] += 1
+            else:
+                prefixes.extend((prefix + (c,), support + (c > 0)) for c in range(top + 1))
+        for v in range(tgt[0], -1, -1):
+            ahead[v] += ahead[v + 1]
+
         if parts == 1:
             if tgt in rank:
                 yield (tgt,)
             return
+
+        bits: Dict[Tuple[int, ...], int] = {}  # part -> the bit of its class
+        index: Dict[Hashable, int] = {}  # class -> the position of its bit
+
+        def bit(part: Tuple[int, ...]) -> int:
+            b = bits.get(part)
+            if b is None:
+                _check_deadline(deadline)
+                b = bits[part] = 1 << index.setdefault(key_of(part), len(index))
+            return b
+
         # (what is left, parts left, least rank) -> the state's fitting parts
         # as (rank, part, what it leaves), or with two parts left its
         # (part, last part) pairs; [] once the state is known to lead nowhere
@@ -291,16 +358,16 @@ def enumerate_vector_partitions(
             room = sum(remaining) - nparts + 1  # every other part takes a unit
             found: list = []
             if room >= 1 and sum(1 for c in remaining if c) <= nparts * max_support:
-                lead = remaining[0]
-                for i in range(start, len(part_list)):
-                    w = part_list[i]
-                    if w[0] * nparts < lead:  # no part from here on has a larger lead
-                        break
-                    if sizes[i] > room:
-                        continue
-                    rest = tuple(map(sub, remaining, w))
-                    if min(rest) >= 0:
-                        found.append((i, w, rest))
+                # the parts whose first coordinate, times nparts, reaches what is left's
+                end = ahead[-(-remaining[0] // nparts)]
+                for lo in range(start, end, _CHUNK):
+                    _check_deadline(deadline)
+                    for i in range(lo, min(lo + _CHUNK, end)):
+                        if sizes[i] <= room:
+                            w = part_list[i]
+                            rest = tuple(map(sub, remaining, w))
+                            if min(rest) >= 0:
+                                found.append((i, w, rest))
             if nparts == 2:  # the last part is what is left, of rank i or more
                 found = [(w, rest) for i, w, rest in found if rank.get(rest, -1) >= i]
             memo[state] = found
@@ -308,16 +375,28 @@ def enumerate_vector_partitions(
 
         top = (tgt, parts, 0)
         if parts == 2:
-            yield from listed(top)
+            for w, rest in listed(top):
+                if not bounded or bit(w) == bit(rest):  # bounded: one class
+                    yield w, rest
             return
-        yielded = 0
+        yielded = cuts = 0  # multisets yielded and subtrees cut by the bound
         # a frame: the parts chosen so far, its state, the fitting parts of
-        # that state still to walk, and the count yielded before it
-        stack = [((), top, iter(listed(top)), 0)]
+        # that state still to walk, the classes taken, and the counts of
+        # yields and cuts before it
+        stack = [((), top, iter(listed(top)), 0, 0, 0)]
         while stack:
-            prefix, state, todo, before = stack[-1]
+            if deadline is not None:  # no call per step without a deadline
+                _check_deadline(deadline)
+            prefix, state, todo, mask, yielded_before, cuts_before = stack[-1]
             nparts = state[1]
             for i, w, rest in todo:
+                if bounded:
+                    taken = mask | bit(w)
+                    if taken.bit_count() > max_classes:
+                        cuts += 1
+                        continue
+                else:
+                    taken = 0
                 child = (rest, nparts - 1, i)
                 found = memo.get(child)
                 if found is None:
@@ -325,16 +404,23 @@ def enumerate_vector_partitions(
                 if not found:
                     continue
                 if nparts == 3:
+                    if bounded:
+                        fits = [
+                            pair for pair in found
+                            if (taken | bit(pair[0]) | bit(pair[1])).bit_count() <= max_classes
+                        ]
+                        cuts += len(found) - len(fits)
+                        found = fits
                     head = prefix + (w,)
                     for pair in found:
                         yield head + pair
                     yielded += len(found)
                 else:
-                    stack.append((prefix + (w,), child, iter(found), yielded))
+                    stack.append((prefix + (w,), child, iter(found), taken, yielded, cuts))
                     break
             else:
                 stack.pop()
-                if yielded == before:
+                if yielded == yielded_before and cuts == cuts_before:
                     memo[state] = []
 
     return walk()
@@ -396,13 +482,19 @@ def _assignment_blocks(
             stack.pop()
 
 
+def _class_key(vector: tuple, degrees: DegreeTuple, memo: dict) -> tuple:
+    """The homology class key of ``vector``; ``memo`` caches keys."""
+    key = memo.get(vector)
+    if key is None:
+        key = memo[vector] = homology_reduce(vector, degrees).coordinates
+    return key
+
+
 def _classify(vectors: Sequence[tuple], degrees: DegreeTuple, memo: dict) -> Tuple[tuple, tuple]:
     """Sorted class keys of one side's vectors and their counts; ``memo`` caches keys."""
     counts: Dict[tuple, int] = {}
     for v in vectors:
-        key = memo.get(v)
-        if key is None:
-            key = memo[v] = homology_reduce(v, degrees).coordinates
+        key = _class_key(v, degrees, memo)
         counts[key] = counts.get(key, 0) + 1
     keys = tuple(sorted(counts))
     return keys, tuple(counts[key] for key in keys)
@@ -436,6 +528,17 @@ def witness_search(
     and computes every vector's homology class once per search, on either
     side.  A source partition skips, at 0 calls, every target partition
     with more classes than it has groups, since none admits an assignment.
+    So the list of l holds only the target partitions with at most
+    ``most = min(l, k + q_max * sum(d) - l)`` classes (k = len(d)), which
+    no source partition of l has more of: a source partition has at most
+    as many classes as distinct parts, which are at most k unit vectors
+    and the parts larger than a unit, each of which adds at least 1 to
+    q * sum(d) - l, and that is largest at q_max.  The target partitions
+    left out are exactly ones every source partition skips, so the order
+    of the pairs tried, and with it calls, bounds and witnesses, is the
+    same as with every target partition listed.  The enumerators get the
+    search's deadline and raise TimeoutError when it passes, which ends
+    the search with BUDGET_EXCEEDED even while a part list is being built.
 
     Dropping (source class, target class) pairs drops equations, so every
     assignment that extends an infeasible prefix is infeasible.  One walk
@@ -450,7 +553,7 @@ def witness_search(
     d = DegreeTuple(source)
     dp = DegreeTuple(target)
     budget = budget or Budget()
-    sd, sdp = d.total(), dp.total()
+    k, sd, sdp = len(d), d.total(), dp.total()
     if sd < n + 1 or sdp < n + 1:
         raise HypothesisViolated(
             f"witness search requires both degree sums >= n + 1 = {n + 1}; "
@@ -484,48 +587,55 @@ def witness_search(
     feasibility = HomFeasibility(d, dp)
     x_memo: Dict[tuple, tuple] = {}  # each side's class key of every vector seen
     y_memo: Dict[tuple, tuple] = {}
+    y_class = functools.partial(_class_key, degrees=dp, memo=y_memo)
 
     feasible = functools.cache(feasibility.exists)  # asked of proper prefixes only
     completions: dict = {}  # (group sizes left, class room left) -> count
 
-    for l, q_max in zip(range(sd, sdp + 1), q_maxes):
-        # each target partition of l with its sorted class keys and counts
-        y_partitions: Optional[list] = None
-        for q in range(1, q_max + 1):
-            if q * sd < l:  # cannot split q*d into l nonzero parts
-                continue
-            for xs in enumerate_vector_partitions(tuple(q * e for e in d), l, min(n, len(d))):
-                if deadline is not None and time.monotonic() > deadline:
-                    return finish(BUDGET_EXCEEDED)
-                if y_partitions is None:
-                    y_partitions = []
-                    for ys in enumerate_vector_partitions(tuple(dp), l, len(dp)):
-                        if deadline is not None and time.monotonic() > deadline:
-                            return finish(BUDGET_EXCEEDED)
-                        y_partitions.append((ys, *_classify(ys, dp, y_memo)))
-                g_keys, g_sizes = _classify(xs, d, x_memo)
-                for ys, h_keys, h_sizes in y_partitions:
-                    if len(h_sizes) > len(g_sizes):
-                        continue
-                    if deadline is not None and time.monotonic() > deadline:
-                        return finish(BUDGET_EXCEEDED)
-                    for count, pairs in _assignment_blocks(
-                        g_keys, g_sizes, h_keys, h_sizes, feasible, completions
-                    ):
-                        calls = min(calls + count, budget.call_cap + 1)
-                        if calls > budget.call_cap:
-                            return finish(BUDGET_EXCEEDED)
-                        if pairs is None or not feasibility.exists(pairs):
+    try:
+        for l, q_max in zip(range(sd, sdp + 1), q_maxes):
+            most = min(l, k + q_max * sd - l)  # no source partition of l has more classes
+            # each target partition of l with at most `most` classes, with
+            # its sorted class keys and counts
+            y_partitions: Optional[list] = None
+            for q in range(1, q_max + 1):
+                if q * sd < l:  # cannot split q*d into l nonzero parts
+                    continue
+                for xs in enumerate_vector_partitions(
+                    tuple(q * e for e in d), l, min(n, k), deadline=deadline
+                ):
+                    if y_partitions is None:
+                        y_partitions = [
+                            (ys, *_classify(ys, dp, y_memo))
+                            for ys in enumerate_vector_partitions(
+                                tuple(dp), l, len(dp),
+                                max_classes=most, class_of=y_class, deadline=deadline,
+                            )
+                        ]
+                    g_keys, g_sizes = _classify(xs, d, x_memo)
+                    for ys, h_keys, h_sizes in y_partitions:
+                        if len(h_sizes) > len(g_sizes):
                             continue
-                        mat = hom_exists(d, dp, pairs)
-                        assert mat is not None
-                        image, unpaired, ys_aligned = dict(pairs), list(ys), []
-                        for x in xs:  # the first unpaired y of x's image class
-                            y = next(y for y in unpaired if y_memo[y] == image[x_memo[x]])
-                            unpaired.remove(y)
-                            ys_aligned.append(y)
-                        witness = FeasibilityWitness(n, d, dp, l, q, xs, ys_aligned, mat)
-                        return finish(FEASIBLE, witness)
+                        _check_deadline(deadline)
+                        for count, pairs in _assignment_blocks(
+                            g_keys, g_sizes, h_keys, h_sizes, feasible, completions
+                        ):
+                            calls = min(calls + count, budget.call_cap + 1)
+                            if calls > budget.call_cap:
+                                return finish(BUDGET_EXCEEDED)
+                            if pairs is None or not feasibility.exists(pairs):
+                                continue
+                            mat = hom_exists(d, dp, pairs)
+                            assert mat is not None
+                            image, unpaired, ys_aligned = dict(pairs), list(ys), []
+                            for x in xs:  # the first unpaired y of x's image class
+                                y = next(y for y in unpaired if y_memo[y] == image[x_memo[x]])
+                                unpaired.remove(y)
+                                ys_aligned.append(y)
+                            witness = FeasibilityWitness(n, d, dp, l, q, xs, ys_aligned, mat)
+                            return finish(FEASIBLE, witness)
+    except TimeoutError:
+        return finish(BUDGET_EXCEEDED)
     return finish(INFEASIBLE if finite else BUDGET_EXCEEDED)
 
 

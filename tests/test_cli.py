@@ -316,3 +316,25 @@ class TestDeterminism:
         a, b = json.loads(one.stdout), json.loads(four.stdout)
         assert a["verdict"]["kind"] == b["verdict"]["kind"]
         assert one.returncode == four.returncode
+
+    @pytest.mark.parametrize(
+        "query, code, digest",
+        [
+            ("2 3,3 7,7", 1, "fe89bf73d9da526cca18447230409b2deeff8679423c74b02772f00c4162251b"),
+            ("2 3,1 2,1,1,1,1", 1, "925d3f691e2186b4f169d13e25c5ef34959205a0c07f53fa5ed6861d7101c0c1"),
+            ("2 3,1 2,2,1,1", 1, "2e37da44c264284640fde4c942a31a752f33e422215f8281f255d838cf399ae1"),
+            ("2 3,1 2,2,2", 1, "5258a2b98dd87310377b2649949418eaaa20f96606930749afa8fd32da8ac416"),
+            ("2 3,3 5,5", 1, "44217b7cc351c34b3120f4edb2c2bbc69554cb14406c6111e490260e99d8b60a"),
+            ("3 4,3 9,9 2000", 2, "828352094e7e4ae9776e9e144a4db572de55e56b468b2f46a475ec86674ca68c"),
+            ("3 4,4 9,8 2000", 2, "11895b73aaa860414c3f3c3dcc1a57dd466e90883a079cc022e612da70699f9e"),
+        ],
+    )
+    def test_search_queries_print_pinned_bytes(self, query, code, digest, capsys):
+        # the benchmark's five exhaustive searches (default budget) and two
+        # capped ones ("n source target call_cap"): a change to the search
+        # must leave the whole stdout of decide as it is
+        n, source, target, *cap = query.split()
+        argv = ["decide", "--n", n, "--source", source, "--target", target]
+        argv += ["--call-cap", *cap] if cap else []
+        assert cli.main(argv) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -8,6 +8,8 @@ import inspect
 import itertools
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -188,9 +190,9 @@ class TestVectorPartitions:
 
         calls = set()
 
-        def recording(target, parts, max_support):
+        def recording(target, parts, max_support, *args, **kwargs):
             calls.add((tuple(target), parts, max_support))
-            return enumerate_vector_partitions(target, parts, max_support)
+            return enumerate_vector_partitions(target, parts, max_support, *args, **kwargs)
 
         monkeypatch.setattr(engine, "enumerate_vector_partitions", recording)
         for n, src, dst in SEARCH_QUERIES:
@@ -239,6 +241,81 @@ class TestVectorPartitions:
     def test_rejects_bad_arguments(self, target, parts, max_support):
         with pytest.raises(ValueError):
             enumerate_vector_partitions(target, parts, max_support)
+
+    @pytest.mark.parametrize("max_classes", [0, True, 1.0])
+    def test_rejects_a_bad_class_bound(self, max_classes):
+        with pytest.raises(ValueError, match="max_classes"):
+            enumerate_vector_partitions((2, 1), 2, 2, max_classes=max_classes)
+
+    def test_class_bound_filters_the_unbounded_sequence(self):
+        # every bound from 1 to the part count, on every small target, with
+        # the target's homology classes as in the search: the bounded walk
+        # yields the unbounded sequence without the multisets of more classes
+        targets = [
+            *((t,) for t in range(1, 11)),
+            *itertools.product(range(1, 6), repeat=2),
+            *itertools.product(range(1, 4), repeat=3),
+        ]
+        cases = 0
+        for target in targets:
+            degrees = DegreeTuple(target)
+
+            def class_of(part):
+                return homology_reduce(part, degrees).coordinates
+
+            for parts, max_support in itertools.product(
+                range(1, sum(target) + 1), range(1, len(target) + 1)
+            ):
+                full = list(enumerate_vector_partitions(target, parts, max_support))
+                classes = [len(set(map(class_of, p))) for p in full]
+                for bound in range(1, parts + 1):
+                    got = enumerate_vector_partitions(
+                        target, parts, max_support, max_classes=bound, class_of=class_of
+                    )
+                    expected = [p for p, c in zip(full, classes) if c <= bound]
+                    assert list(got) == expected, (target, parts, max_support, bound)
+                    cases += 1
+        assert cases == 3152
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(any).flatmap(
+        lambda target: st.tuples(
+            st.just(tuple(target)),
+            st.integers(1, sum(target) + 1),
+            st.integers(1, len(target)),
+            st.integers(1, sum(target) + 1),
+            st.integers(0, 3),
+        )
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_class_bound_matches_a_filter(self, case):
+        # modulus 0 means the default classes, one per distinct part
+        target, parts, max_support, bound, modulus = case
+
+        def class_of(part):
+            return sum(i * c for i, c in enumerate(part, 1)) % modulus
+
+        key = class_of if modulus else (lambda part: part)
+        got = enumerate_vector_partitions(
+            target, parts, max_support, max_classes=bound, class_of=class_of if modulus else None
+        )
+        full = enumerate_vector_partitions(target, parts, max_support)
+        assert list(got) == [p for p in full if len(set(map(key, p))) <= bound]
+
+    @pytest.mark.parametrize("target, parts", [((9, 9), 7), ((9, 8), 8)])
+    def test_frozen_counts_under_a_class_bound(self, target, parts):
+        # the target lists of the benchmark's capped searches at l = sum(d)
+        degrees = DegreeTuple(target)
+        got = list(enumerate_vector_partitions(
+            target, parts, 2, max_classes=2,
+            class_of=lambda part: homology_reduce(part, degrees).coordinates,
+        ))
+        assert len(got) == 4
+
+    def test_deadline_passed_raises_timeout(self):
+        # the call itself stays lazy; the first step of the walk reads the clock
+        got = enumerate_vector_partitions((2, 1), 2, 2, deadline=time.monotonic() - 1)
+        with pytest.raises(TimeoutError):
+            next(got)
 
 
 class TestQuickChecks:
@@ -477,8 +554,8 @@ class TestWitnessSearch:
         real = engine.enumerate_vector_partitions
         pulled = []
 
-        def counting(target, parts, max_support):
-            for item in real(target, parts, max_support):
+        def counting(target, parts, max_support, *args, **kwargs):
+            for item in real(target, parts, max_support, *args, **kwargs):
                 pulled.append(item)
                 yield item
 
@@ -490,6 +567,55 @@ class TestWitnessSearch:
         v = decide(3, (5, 4), (12, 11), budget=Budget(time_cap=3))
         assert v.kind == UNKNOWN and v.search_bounds["calls_used"] == 0
         assert len(pulled) <= 5
+
+    def test_time_cap_checked_while_a_part_list_is_built(self, monkeypatch):
+        # the target (1001, 999) has 1,001,999 parts, and their list alone
+        # peaks at about 190 MB under tracemalloc; a counter clock passes the
+        # deadline on its 51st read, a few reads into that list, so the
+        # search stops with a small fraction of it built
+        import hsembed.engine as engine
+
+        ticks = itertools.count()
+        monkeypatch.setattr(engine.time, "monotonic", lambda: next(ticks))
+        real = engine.enumerate_vector_partitions
+        started = []
+
+        def recording(target, parts, max_support, *args, **kwargs):
+            if tuple(target) == (1001, 999):
+                started.append(parts)
+            return real(target, parts, max_support, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "enumerate_vector_partitions", recording)
+        tracemalloc.start()
+        try:
+            out = witness_search(2, (3, 3), (1001, 999), Budget(time_cap=50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.status, out.calls_used) == ("BUDGET_EXCEEDED", 0)
+        assert started == [6]  # the list of l = 6 was begun, for the first source partition
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("n, src, dst", CAPPED_QUERIES)
+    def test_target_partitions_listed_within_the_class_bound(self, monkeypatch, n, src, dst):
+        # at l = sum(d) every source part is a unit vector, so a source
+        # partition has at most len(d) = 2 classes; of the 4,253 (resp.
+        # 1,862) target partitions of l, only those with at most 2 are listed
+        import hsembed.engine as engine
+
+        real = engine.enumerate_vector_partitions
+        listed = []
+
+        def counting(target, parts, max_support, *args, **kwargs):
+            for item in real(target, parts, max_support, *args, **kwargs):
+                if tuple(target) == dst and parts == sum(src):
+                    listed.append(item)
+                yield item
+
+        monkeypatch.setattr(engine, "enumerate_vector_partitions", counting)
+        out = witness_search(n, src, dst, Budget(call_cap=CAPPED_CALL_CAP))
+        assert (out.status, out.calls_used) == ("BUDGET_EXCEEDED", CAPPED_CALL_CAP + 1)
+        assert 0 < len(listed) <= 4
 
     @pytest.mark.parametrize(
         "n, src, dst, built",
@@ -508,10 +634,10 @@ class TestWitnessSearch:
         real = engine.enumerate_vector_partitions
         target_parts = []
 
-        def counting(target, parts, max_support):
+        def counting(target, parts, max_support, *args, **kwargs):
             if tuple(target) == dst:
                 target_parts.append(parts)
-            return real(target, parts, max_support)
+            return real(target, parts, max_support, *args, **kwargs)
 
         monkeypatch.setattr(engine, "enumerate_vector_partitions", counting)
         witness_search(n, src, dst, Budget(call_cap=2000))
@@ -680,6 +806,25 @@ class TestDecide:
                         breaks.append((n, SYMPLECTIC, a, b, no[SYMPLECTIC, a, b]))
         assert verdicts == 9600
         assert breaks == []
+
+    def test_raising_the_call_cap_keeps_every_yes_and_no(self):
+        # a larger call_cap only lets a search go further, so a YES or NO at
+        # call_cap=37 stays one at 3000; some UNKNOWNs get decided there
+        tuples = [d for d in canonical_tuples(8) if len(d) <= 3]
+        pairs, decided_later, breaks = 0, 0, []
+        for n, mode, a, b in itertools.product((1, 2, 3), (LIOUVILLE, SYMPLECTIC), tuples, tuples):
+            low = decide(n, a, b, mode, Budget(call_cap=37))
+            high = decide(n, a, b, mode, Budget(call_cap=3000))
+            pairs += 1
+            if low.kind == UNKNOWN:
+                decided_later += high.kind != UNKNOWN
+            elif high.kind != low.kind:
+                breaks.append((n, mode, a, b, *(
+                    (v.kind, v.certificate and v.certificate.rule) for v in (low, high)
+                )))
+        assert pairs == 9600
+        assert breaks == []
+        assert decided_later == 36
 
     def test_order_rung_runs_no_move_search(self, monkeypatch):
         # the decomposition alone decides and builds the witness; the
