@@ -39,7 +39,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from operator import sub
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
@@ -217,13 +216,26 @@ class SearchOutcome:
     calls_used: int
 
 
-_CHUNK = 4096  # parts a listing scans between two reads of the clock
+_CHUNK = 4096  # parts a listing's descent lists between two reads of the clock
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
     """Raise TimeoutError once ``time.monotonic()`` is past ``deadline``."""
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutError("the deadline has passed")
+
+
+def _emit(
+    found: list, head: tuple, left: tuple, r: int, values: range, deadline: Optional[float]
+) -> None:
+    """Add the part ``head + (c,)`` and what it leaves of ``left + (r,)`` to
+    ``found`` for each c in ``values``, with a clock read per ``_CHUNK``."""
+    if deadline is None:
+        found += [(head + (c,), left + (r - c,)) for c in values]
+        return
+    for lo in range(0, len(values), _CHUNK):
+        _check_deadline(deadline)
+        found += [(head + (c,), left + (r - c,)) for c in values[lo:lo + _CHUNK]]
 
 
 def enumerate_vector_partitions(
@@ -250,32 +262,31 @@ def enumerate_vector_partitions(
     distinct parts); it is asked once per part, and only for the parts the
     walk reaches.  With ``deadline``, a value of ``time.monotonic()``, the
     generator raises TimeoutError once the clock has passed it.  It reads
-    the clock while it builds its part list, every few thousand parts a
-    listing scans, at every step of its walk and before it classifies a
-    new part, so a walk that cuts much and yields little still stops.
+    the clock before each run of last coordinates a listing's descent
+    lists and every ``_CHUNK`` parts within one, at every step of its walk
+    and before it classifies a new part, so neither a long listing nor a
+    walk that cuts much and yields little runs past it.
 
-    Method: a ranked part list and a memoized walk over sub-split states.
-    Every admissible part (nonzero, at most ``target`` coordinatewise,
-    support at most ``max_support``) is listed once, when the first
-    multiset is asked for, in descending lexicographic order, and ranked
-    by its place in that list.  A state is what is left, the number of
-    parts left, and the least rank they may have; taking a part of rank i
-    leaves one part fewer, of least rank i.  Each state's fitting parts are
-    listed once, in a dict that lives only as long as the generator.  The
-    listing skips a part that leaves less than a unit for each other part,
-    and scans only the parts whose first coordinate, times the parts left,
-    reaches what is left's (a count of parts by first coordinate, taken
-    with the list, says where they end).  A state
-    with more nonzero coordinates than its parts can cover lists nothing.
-    A state whose walk yielded nothing is stored as an empty list and not
-    walked again, unless the class bound cut something below it: the bound
-    depends on the classes taken before the state, the state's parts do
-    not.  The classes taken so far are an int bitmask, one bit per class.
-    With two parts left, a state lists its pairs in one step: a part, then
-    what is left if its rank is no smaller.  An explicit stack walks the
-    states, so each multiset is built once, as the parts chosen so far plus
-    one pair.  Memory grows with the states visited, not with the multisets
-    yielded.
+    Method: a memoized walk over sub-split states, with no global list of
+    parts.  A state is what is left, the number of parts left, and the
+    bounding part, the largest they may be: the parts come in descending
+    lexicographic order, so taking a part w leaves one part fewer, bounded
+    by w.  A state lists its fitting parts once, in a dict that lives only
+    as long as the generator, by a coordinate-wise descent, largest first,
+    bounded by what is left, by the room (every other part takes a unit),
+    by ``max_support``, by the least first coordinate (times the parts
+    left it reaches what is left's), and by the bounding part while the
+    part so far equals it.  A state with more nonzero coordinates than its
+    parts can cover lists nothing.  A state whose walk yielded nothing is
+    stored as an empty list and not walked again, unless the class bound
+    cut something below it: the bound depends on the classes taken before
+    the state, the state's parts do not.  The classes taken so far are an
+    int bitmask, one bit per class.  With two parts left, a state lists
+    its pairs in one step: a part, then what is left if no larger and
+    admissible.  An explicit stack walks the states, so each multiset is
+    built once, as the parts chosen so far plus one pair.  Memory grows
+    with the states visited, not with the multisets yielded.  The setting
+    is that of Knuth's Algorithm M (*TAOCP* 4A, 7.2.1.5).
 
     >>> list(enumerate_vector_partitions((2, 1), 2, 2))
     [((2, 0), (0, 1)), ((1, 1), (1, 0))]
@@ -299,42 +310,14 @@ def enumerate_vector_partitions(
     if max_classes is not None:
         _require_int(max_classes, "max_classes")
     m = len(tgt)
+    last = m - 1
     # a multiset of `parts` parts has at most `parts` classes
     bounded = max_classes is not None and max_classes < parts
     key_of = class_of or (lambda part: part)
 
     def walk() -> Iterator[Tuple[Tuple[int, ...], ...]]:
-        # every admissible part in descending lexicographic order, its rank
-        # (place in that order) and its size, built under the clock
-        part_list: List[Tuple[int, ...]] = []
-        rank: Dict[Tuple[int, ...], int] = {}
-        sizes: List[int] = []
-        # ahead[v]: how many parts have first coordinate v, and then at least
-        # v, which is where the parts with a smaller one start
-        ahead = [0] * (tgt[0] + 2)
-        # a part's leading coordinates and their support; the largest on top
-        prefixes: List[Tuple[Tuple[int, ...], int]] = [((), 0)]
-        while prefixes:
-            _check_deadline(deadline)
-            prefix, support = prefixes.pop()
-            top = tgt[len(prefix)] if support < max_support else 0
-            if len(prefix) == m - 1:  # the last coordinate, down to 0 if nonzero
-                new = [prefix + (c,) for c in range(top, -1 if support else 0, -1)]
-                rank.update(zip(new, range(len(part_list), len(part_list) + len(new))))
-                sizes.extend(map(sum, new))
-                part_list.extend(new)
-                if prefix:
-                    ahead[prefix[0]] += len(new)
-                else:  # one coordinate: each part is its own first one
-                    for (c,) in new:
-                        ahead[c] += 1
-            else:
-                prefixes.extend((prefix + (c,), support + (c > 0)) for c in range(top + 1))
-        for v in range(tgt[0], -1, -1):
-            ahead[v] += ahead[v + 1]
-
         if parts == 1:
-            if tgt in rank:
+            if m - tgt.count(0) <= max_support:
                 yield (tgt,)
             return
 
@@ -348,32 +331,48 @@ def enumerate_vector_partitions(
                 b = bits[part] = 1 << index.setdefault(key_of(part), len(index))
             return b
 
-        # (what is left, parts left, least rank) -> the state's fitting parts
-        # as (rank, part, what it leaves), or with two parts left its
+        # (what is left, parts left, bounding part) -> the state's fitting parts
+        # as (part, what it leaves), largest first, or with two parts left its
         # (part, last part) pairs; [] once the state is known to lead nowhere
-        memo: Dict[Tuple[Tuple[int, ...], int, int], list] = {}
+        memo: Dict[Tuple[Tuple[int, ...], int, Tuple[int, ...]], list] = {}
 
-        def listed(state: Tuple[Tuple[int, ...], int, int]) -> list:
-            remaining, nparts, start = state
+        def listed(state: Tuple[Tuple[int, ...], int, Tuple[int, ...]]) -> list:
+            remaining, nparts, bound = state
             room = sum(remaining) - nparts + 1  # every other part takes a unit
             found: list = []
-            if room >= 1 and sum(1 for c in remaining if c) <= nparts * max_support:
-                # the parts whose first coordinate, times nparts, reaches what is left's
-                end = ahead[-(-remaining[0] // nparts)]
-                for lo in range(start, end, _CHUNK):
-                    _check_deadline(deadline)
-                    for i in range(lo, min(lo + _CHUNK, end)):
-                        if sizes[i] <= room:
-                            w = part_list[i]
-                            rest = tuple(map(sub, remaining, w))
-                            if min(rest) >= 0:
-                                found.append((i, w, rest))
-            if nparts == 2:  # the last part is what is left, of rank i or more
-                found = [(w, rest) for i, w, rest in found if rank.get(rest, -1) >= i]
+            if room >= 1 and m - remaining.count(0) <= nparts * max_support:
+                least = -(-remaining[0] // nparts)  # times nparts it reaches remaining[0]
+                values = range(min(remaining[0], room, bound[0]), least - 1, -1)
+                # a frame: a part's leading coordinates, what they leave, their
+                # support, the room they leave, whether they equal the bound's,
+                # and the values of the last of them still to take
+                if last:
+                    stack = [((), (), 0, room, True, iter(values))]
+                else:  # one coordinate: each value is a part
+                    stack = []
+                    _emit(found, (), (), remaining[0], values, deadline)
+                while stack:
+                    head, left, support, free, tight, todo = stack[-1]
+                    j = len(head)
+                    k = j + 1
+                    for c in todo:
+                        h, lf = head + (c,), left + (remaining[j] - c,)
+                        s, f, t = support + (c > 0), free - c, tight and c == bound[j]
+                        top = min(remaining[k], f) if s < max_support else 0
+                        if t and bound[k] < top:
+                            top = bound[k]
+                        if k < last:
+                            stack.append((h, lf, s, f, t, iter(range(top, -1, -1))))
+                            break
+                        _emit(found, h, lf, remaining[k], range(top, -1 if s else 0, -1), deadline)
+                    else:
+                        stack.pop()
+            if nparts == 2:  # the last part is what is left, if no larger and admissible
+                found = [(w, r) for w, r in found if r <= w and m - r.count(0) <= max_support]
             memo[state] = found
             return found
 
-        top = (tgt, parts, 0)
+        top = (tgt, parts, tgt)  # every admissible part is at most tgt
         if parts == 2:
             for w, rest in listed(top):
                 if not bounded or bit(w) == bit(rest):  # bounded: one class
@@ -389,7 +388,7 @@ def enumerate_vector_partitions(
                 _check_deadline(deadline)
             prefix, state, todo, mask, yielded_before, cuts_before = stack[-1]
             nparts = state[1]
-            for i, w, rest in todo:
+            for w, rest in todo:
                 if bounded:
                     taken = mask | bit(w)
                     if taken.bit_count() > max_classes:
@@ -397,7 +396,7 @@ def enumerate_vector_partitions(
                         continue
                 else:
                     taken = 0
-                child = (rest, nparts - 1, i)
+                child = (rest, nparts - 1, w)
                 found = memo.get(child)
                 if found is None:
                     found = listed(child)
@@ -538,7 +537,7 @@ def witness_search(
     of the pairs tried, and with it calls, bounds and witnesses, is the
     same as with every target partition listed.  The enumerators get the
     search's deadline and raise TimeoutError when it passes, which ends
-    the search with BUDGET_EXCEEDED even while a part list is being built.
+    the search with BUDGET_EXCEEDED even while a long listing is under way.
 
     Dropping (source class, target class) pairs drops equations, so every
     assignment that extends an infeasible prefix is infeasible.  One walk

@@ -112,6 +112,10 @@ class TestVectorPartitions:
             ((3,), 2, 1),
             ((1, 1, 1), 3, 2),
             ((2, 1, 1), 2, 3),
+            ((2, 1), 1, 1),
+            ((2, 1), 1, 2),
+            ((2, 2, 1, 1), 3, 4),
+            ((2, 1, 1, 1, 1), 3, 5),
         ]
         for target, parts, max_support in cases:
             got = list(enumerate_vector_partitions(target, parts, max_support))
@@ -143,7 +147,10 @@ class TestVectorPartitions:
     def test_empty_when_too_many_parts(self):
         assert list(enumerate_vector_partitions((1, 1), 3, 2)) == []
 
-    @given(st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(any).flatmap(
+    @given(st.one_of(
+        st.lists(st.integers(0, 4), min_size=1, max_size=3),
+        st.lists(st.integers(0, 2), min_size=4, max_size=5),
+    ).filter(any).flatmap(
         lambda target: st.tuples(
             st.just(tuple(target)),
             st.integers(1, _oracle_parts_cap(target)),
@@ -316,6 +323,26 @@ class TestVectorPartitions:
         got = enumerate_vector_partitions((2, 1), 2, 2, deadline=time.monotonic() - 1)
         with pytest.raises(TimeoutError):
             next(got)
+
+    @pytest.mark.parametrize("target, max_support", [((10**6,), 1), ((3, 10**6), 2)])
+    def test_clock_read_while_one_long_last_coordinate_is_listed(
+        self, monkeypatch, target, max_support
+    ):
+        # the first state of each has about 10**6 fitting parts, whose list
+        # alone peaks at hundreds of MB; a counter clock passes the deadline
+        # on its third read, so the listing stops a few thousand parts in
+        import hsembed.engine as engine
+
+        ticks = itertools.count(1)
+        monkeypatch.setattr(engine.time, "monotonic", lambda: next(ticks))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TimeoutError):
+                list(enumerate_vector_partitions(target, 2, max_support, deadline=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestQuickChecks:
