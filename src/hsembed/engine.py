@@ -274,19 +274,21 @@ def enumerate_vector_partitions(
     by w.  A state lists its fitting parts once, in a dict that lives only
     as long as the generator, by a coordinate-wise descent, largest first,
     bounded by what is left, by the room (every other part takes a unit),
-    by ``max_support``, by the least first coordinate (times the parts
-    left it reaches what is left's), and by the bounding part while the
-    part so far equals it.  A state with more nonzero coordinates than its
-    parts can cover lists nothing.  A state whose walk yielded nothing is
-    stored as an empty list and not walked again, unless the class bound
-    cut something below it: the bound depends on the classes taken before
-    the state, the state's parts do not.  The classes taken so far are an
-    int bitmask, one bit per class.  With two parts left, a state lists
-    its pairs in one step: a part, then what is left if no larger and
-    admissible.  An explicit stack walks the states, so each multiset is
-    built once, as the parts chosen so far plus one pair.  Memory grows
-    with the states visited, not with the multisets yielded.  The setting
-    is that of Knuth's Algorithm M (*TAOCP* 4A, 7.2.1.5).
+    by ``max_support``, by the least first coordinate (times the parts left
+    it reaches what is left's), and by the bounding part while the part so
+    far equals it.  A state with more nonzero coordinates than its parts
+    can cover lists nothing.  A state whose walk yielded nothing is stored
+    as an empty list and not walked again, unless the class bound cut
+    something below it: the bound depends on the classes taken before the
+    state, the state's parts do not.  The classes taken so far are an int
+    bitmask, one bit per class.  With two parts left, a state lists its
+    pairs in one step: a part, then what is left if no larger and
+    admissible, and yields, root and child alike, those that fit the class
+    bound with the classes taken before.  An explicit stack walks the
+    states, so each multiset is built once, as the parts chosen so far plus
+    one pair.  Memory grows with the states visited, not with the multisets
+    yielded.  The setting is that of Knuth's Algorithm M (*TAOCP* 4A,
+    7.2.1.5).
 
     >>> list(enumerate_vector_partitions((2, 1), 2, 2))
     [((2, 0), (0, 1)), ((1, 1), (1, 0))]
@@ -372,11 +374,15 @@ def enumerate_vector_partitions(
             memo[state] = found
             return found
 
+        def within(found: list, taken: int) -> list:  # a 2-part state's pairs in the bound
+            if not bounded:
+                return found
+            return [pair for pair in found
+                    if (taken | bit(pair[0]) | bit(pair[1])).bit_count() <= max_classes]
+
         top = (tgt, parts, tgt)  # every admissible part is at most tgt
         if parts == 2:
-            for w, rest in listed(top):
-                if not bounded or bit(w) == bit(rest):  # bounded: one class
-                    yield w, rest
+            yield from within(listed(top), 0)
             return
         yielded = cuts = 0  # multisets yielded and subtrees cut by the bound
         # a frame: the parts chosen so far, its state, the fitting parts of
@@ -389,13 +395,10 @@ def enumerate_vector_partitions(
             prefix, state, todo, mask, yielded_before, cuts_before = stack[-1]
             nparts = state[1]
             for w, rest in todo:
-                if bounded:
-                    taken = mask | bit(w)
-                    if taken.bit_count() > max_classes:
-                        cuts += 1
-                        continue
-                else:
-                    taken = 0
+                taken = mask | bit(w) if bounded else 0
+                if bounded and taken.bit_count() > max_classes:
+                    cuts += 1
+                    continue
                 child = (rest, nparts - 1, w)
                 found = memo.get(child)
                 if found is None:
@@ -403,17 +406,12 @@ def enumerate_vector_partitions(
                 if not found:
                     continue
                 if nparts == 3:
-                    if bounded:
-                        fits = [
-                            pair for pair in found
-                            if (taken | bit(pair[0]) | bit(pair[1])).bit_count() <= max_classes
-                        ]
-                        cuts += len(found) - len(fits)
-                        found = fits
+                    fits = within(found, taken)
+                    cuts += len(found) - len(fits)
                     head = prefix + (w,)
-                    for pair in found:
+                    for pair in fits:
                         yield head + pair
-                    yielded += len(found)
+                    yielded += len(fits)
                 else:
                     stack.append((prefix + (w,), child, iter(found), taken, yielded, cuts))
                     break
@@ -513,7 +511,10 @@ def witness_search(
     degree > n + 1) and fully explored, and BUDGET_EXCEEDED otherwise.  In
     the boundary case sum(d) = n + 1 the q-range is unbounded, so no finite
     exploration can prove infeasibility and the fallback is always
-    BUDGET_EXCEEDED.
+    BUDGET_EXCEEDED.  The grid is walked cell by cell, nothing sized by it
+    built first: the deadline is set on entry, each l finds its own q_max,
+    q starts where q * sum(d) >= l (fewer units make no l nonzero parts),
+    and ``cells_total`` is a closed form.  An empty l-range is exhausted.
 
     Every assignment tried is one call, whether or not the same class pairs
     were asked before, so the call count at any point is a pure function of
@@ -548,10 +549,10 @@ def witness_search(
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
-    _require_int(n, "complex dimension")
-    d = DegreeTuple(source)
-    dp = DegreeTuple(target)
     budget = budget or Budget()
+    deadline = time.monotonic() + budget.time_cap if budget.time_cap else None
+    _require_int(n, "complex dimension")
+    d, dp = DegreeTuple(source), DegreeTuple(target)
     k, sd, sdp = len(d), d.total(), dp.total()
     if sd < n + 1 or sdp < n + 1:
         raise HypothesisViolated(
@@ -559,9 +560,12 @@ def witness_search(
             f"got {sd} and {sdp}"
         )
     finite = sd > n + 1
-    q_maxes = [
-        (l - n - 1) // (sd - n - 1) if finite else budget.q_cap for l in range(sd, sdp + 1)
-    ]
+    s = sd - n - 1  # the q of a finite cell l runs up to (l - n - 1) // s
+    if finite:  # the sum of those bounds over l, in closed form
+        t, x = divmod(sdp - n - 1, s)
+        cells_total = s * t * (t - 1) // 2 + t * (x + 1)
+    else:
+        cells_total = budget.q_cap * (sdp - sd + 1)
     bounds: dict = {
         "sum_source": sd,
         "sum_target": sdp,
@@ -569,7 +573,7 @@ def witness_search(
         "l_range_empty": sd > sdp,
         "q_range_finite": finite,
         "q_cap_applied": None if finite else budget.q_cap,
-        "cells_total": sum(q_maxes),
+        "cells_total": cells_total,
         "calls_used": 0,
         "exhausted": False,
     }
@@ -580,9 +584,6 @@ def witness_search(
         bounds["exhausted"] = status == INFEASIBLE
         return SearchOutcome(status, witness, bounds, calls)
 
-    if sd > sdp:
-        return finish(INFEASIBLE)
-    deadline = time.monotonic() + budget.time_cap if budget.time_cap else None
     feasibility = HomFeasibility(d, dp)
     x_memo: Dict[tuple, tuple] = {}  # each side's class key of every vector seen
     y_memo: Dict[tuple, tuple] = {}
@@ -592,14 +593,13 @@ def witness_search(
     completions: dict = {}  # (group sizes left, class room left) -> count
 
     try:
-        for l, q_max in zip(range(sd, sdp + 1), q_maxes):
+        for l in range(sd, sdp + 1):
+            q_max = (l - n - 1) // s if finite else budget.q_cap
             most = min(l, k + q_max * sd - l)  # no source partition of l has more classes
             # each target partition of l with at most `most` classes, with
             # its sorted class keys and counts
             y_partitions: Optional[list] = None
-            for q in range(1, q_max + 1):
-                if q * sd < l:  # cannot split q*d into l nonzero parts
-                    continue
+            for q in range(-(-l // sd), q_max + 1):  # from the least q with q * sd >= l
                 for xs in enumerate_vector_partitions(
                     tuple(q * e for e in d), l, min(n, k), deadline=deadline
                 ):
@@ -624,8 +624,7 @@ def witness_search(
                                 return finish(BUDGET_EXCEEDED)
                             if pairs is None or not feasibility.exists(pairs):
                                 continue
-                            mat = hom_exists(d, dp, pairs)
-                            assert mat is not None
+                            mat = hom_exists(d, dp, pairs)  # not None: the pairs are feasible
                             image, unpaired, ys_aligned = dict(pairs), list(ys), []
                             for x in xs:  # the first unpaired y of x's image class
                                 y = next(y for y in unpaired if y_memo[y] == image[x_memo[x]])

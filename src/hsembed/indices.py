@@ -190,6 +190,7 @@ def orbit_spectrum(n: int, degrees: Sequence[int], action_cap: int) -> List[Orbi
             rec(idx + 1, budget - c * d[idx], s, prefix + (c,))
 
     rec(0, action_cap, 0, ())
+    del rec  # the closure refers to itself: free it now, not at the next collection
     out: List[OrbitClass] = []
     for v in vectors:
         r = sum(1 for c in v if c)

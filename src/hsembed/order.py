@@ -247,6 +247,7 @@ def _column_fillings(degrees: Tuple[int, ...], target: int) -> Tuple[Tuple[int, 
             rec(idx + 1, remaining - c * step, prefix + (c,))
 
     rec(0, target, ())
+    del rec  # the closure refers to itself: free it now, not at the next collection
     return tuple(out)
 
 
@@ -299,7 +300,9 @@ def leqq_decomposition(
             choice.pop()
         return False
 
-    if not rec(0, 0):
+    covered = rec(0, 0)
+    del rec  # the closure refers to itself: free it now, not at the next collection
+    if not covered:
         return None
     rows = tuple(tuple(choice[j][i] for j in range(len(dp))) for i in range(k))
     return DecompositionWitness(d, dp, rows)

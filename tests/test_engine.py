@@ -42,12 +42,14 @@ from hsembed import (
     homology_reduce,
     leqq,
     leqq_decomposition,
+    orbit_spectrum,
     quick_checks,
     replay_certificate,
     verify_verdict,
     witness_search,
 )
 from hsembed.engine import _assignment_blocks
+from hsembed.order import _column_fillings
 
 from oracles import _assignments, canonical_tuples, partitions_of_vector, ranked_split_partitions
 
@@ -623,6 +625,40 @@ class TestWitnessSearch:
         assert started == [6]  # the list of l = 6 was begun, for the first source partition
         assert peak < 20 * 2**20
 
+    def test_set_up_does_not_grow_with_the_target_sum(self, monkeypatch):
+        # the grid of (2, (3, 3), (10**6,)) has 166,665,500,002 cells; a
+        # counter clock passes the deadline on its second read, the first
+        # after the deadline is set, so the search stops before its first
+        # source partition, having built nothing sized by the l-range
+        import hsembed.engine as engine
+
+        ticks = itertools.count()
+        monkeypatch.setattr(engine.time, "monotonic", lambda: next(ticks))
+        tracemalloc.start()
+        try:
+            out = witness_search(2, (3, 3), (10**6,), Budget(time_cap=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.status, out.calls_used) == ("BUDGET_EXCEEDED", 0)
+        assert out.bounds["cells_total"] == 166_665_500_002
+        assert peak < 2**20
+
+    def test_cells_total_is_the_sum_of_the_q_bounds(self):
+        # cells_total counts the q's of every l in [sum(d), sum(d')]: up to
+        # (l - n - 1) // (sum(d) - n - 1) when sum(d) > n + 1, else q_cap;
+        # the grid includes empty l-ranges and the infinite regime, and the
+        # deadline passes at once, so no search runs far
+        budget = Budget(q_cap=3, time_cap=1e-9)
+        for n in range(1, 5):
+            for sd, sdp in itertools.product(range(n + 1, 31), range(n + 1, 61)):
+                brute = sum(
+                    (l - n - 1) // (sd - n - 1) if sd > n + 1 else budget.q_cap
+                    for l in range(sd, sdp + 1)
+                )
+                out = witness_search(n, (sd,), (sdp,), budget)
+                assert out.bounds["cells_total"] == brute, (n, sd, sdp)
+
     @pytest.mark.parametrize("n, src, dst", CAPPED_QUERIES)
     def test_target_partitions_listed_within_the_class_bound(self, monkeypatch, n, src, dst):
         # at l = sum(d) every source part is a unit vector, so a source
@@ -780,6 +816,28 @@ class TestDecide:
                     yes += 1
                     assert verify_verdict(n, src, dst, LIOUVILLE, v), (n, src, dst)
         assert (queries, yes) == (3879, 950)
+
+    def test_window_leaves_no_cyclic_garbage(self):
+        # the order's and the spectrum's recursive walks free themselves when
+        # they return, so deciding acceptance criterion 3's in-window corpus
+        # leaves nothing for the cyclic collector
+        queries = [
+            (n, src, dst)
+            for n in (1, 2, 3)
+            for src, dst in itertools.product(canonical_tuples(7, n + 1), repeat=2)
+            if dst.total() < 2 * src.total() - n - 1
+        ]
+        _column_fillings.cache_clear()  # so every filling walk runs
+        gc.collect()
+        gc.disable()
+        try:
+            for n, src, dst in queries:
+                decide(n, src, dst)
+            assert gc.collect() == 0
+            orbit_spectrum(2, (2, 1), 6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_verdict_census(self):
         # verdicts by (kind, NO rule) over SMALL_TUPLES for n = 1..3
