@@ -3,6 +3,8 @@
 Four subcommands: ``decide`` (the full verdict ladder), ``leqq`` (just the
 constructive partial order), ``spectrum`` (Reeb orbit class tables), and
 ``poset`` (DOT export of the order's covering relations on a degree range).
+Each ``poset`` cover is one combine or duplicate move, so its Liouville and
+Weinstein label is YES by construction; symplectic labels come from ``decide``.
 
 Output contract: stdout carries either deterministic JSON (sorted keys,
 two-space indent, no volatile fields — byte-stable across runs for equal
@@ -31,7 +33,7 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import __version__, order
-from .engine import LIOUVILLE, MODES, Budget, decide, enumerate_vector_partitions
+from .engine import LIOUVILLE, MODES, SYMPLECTIC, Budget, decide, enumerate_vector_partitions
 from .indices import orbit_spectrum
 from .model import NO, UNKNOWN, YES, DegreeTuple, _jsonify, _require_int
 from .order import leqq
@@ -220,6 +222,9 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     # builds each node's reachable set (a bitset over node positions) from
     # its successors' and keeps the successors that no other successor
     # reaches: the transitive reduction of a DAG (Aho, Garey & Ullman 1972).
+    # A move is an embedding by construction, so in Liouville and Weinstein
+    # mode, where decide answers YES from the order, each cover is labelled
+    # YES from its move; symplectic labels vary and come from decide.
     n = args.n
     nodes = [
         DegreeTuple(e for (e,) in parts)
@@ -252,8 +257,8 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     for d in nodes:
         dot.append(f'  "{node_id(d)}" [label="({node_id(d)})"];')
     for a, b in covers:
-        verdict = decide(n, a, b, args.mode)
-        dot.append(f'  "{node_id(a)}" -> "{node_id(b)}" [label="{verdict.kind}"];')
+        kind = decide(n, a, b, args.mode).kind if args.mode == SYMPLECTIC else YES
+        dot.append(f'  "{node_id(a)}" -> "{node_id(b)}" [label="{kind}"];')
     dot.append("}")
     text = "\n".join(dot)
     inputs = {"n": n, "max_sum": args.max_sum, "mode": args.mode}

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from hsembed import DegreeTuple, cli, leqq_decomposition
-from hsembed.order import _successor_moves
+from hsembed import DegreeTuple, cli, decide, leqq_decomposition
+from hsembed.engine import LIOUVILLE, MODES, SYMPLECTIC, WEINSTEIN
+from hsembed.order import MoveSequence, _successor_moves
 
 EXE = [sys.executable, "-m", "hsembed.cli"]
 
@@ -290,6 +291,86 @@ class TestPosetOrder:
         assert cli.main(["poset", "--n", "2", "--max-sum", max_sum]) == 0
         dot = capsys.readouterr().out
         assert hashlib.sha256(dot.encode()).hexdigest() == expected
+
+    # sha256 of the DOT on stdout and of the --out record without
+    # wall_time_ms (json.dumps, sorted keys, indent 2), both taken when every
+    # cover was labelled by decide; Liouville and Weinstein print the same DOT
+    DOT_SHA256 = {
+        ("exact", 5): "88284b4e4dc9ba16ad689f2ab676f94c21a8065a4b10773c6bea7f55642d49d8",
+        ("exact", 8): "8adaa2f801091c5cf443a0aa8ee308c110e1b91bc65d38d0e6be6c4c363c2bf1",
+        ("exact", 9): "b8c0f6b9eb36dca72e572064c16489849e318d5e40f7482d156a97aeef2cb5f4",
+        (SYMPLECTIC, 5): "e000d94621a6042ae2dba91ee1509faa6be9405746101267c098c33740dd3c8e",
+        (SYMPLECTIC, 8): "18b2ecf463c25b2e42de19afaf77acb5a9853ec2fca9b6b6e864493e3c3e6ebb",
+        (SYMPLECTIC, 9): "ffeda24c1092e300cd281956b4446a66fe9b323aaf5a99718b8111d348113a7f",
+    }
+    RECORD_SHA256 = {
+        (LIOUVILLE, 5): "b0192f96a9891383c9cd1416a926507116894f74cbe5a96483970335c84491e1",
+        (LIOUVILLE, 8): "2d1d05e4d5581d0f3fb96ccee657da267b329af8cb2e1bf5ea3d5a8193257846",
+        (LIOUVILLE, 9): "7a6cef3a88d1ea0744c309ca3e602d9c38c2d84a03b1c8202d650f834ae31de9",
+        (WEINSTEIN, 5): "0bf5ee09f13dfb541625b7df65835590c4c3c3abf5b7cf167b461115680877c8",
+        (WEINSTEIN, 8): "0960f7f19464ba45a3b3769087867c61d86f4dd79f4c5a3b907684822d52a30a",
+        (WEINSTEIN, 9): "c988917ce069691ee4f3808c6b45a4abbd6ecd3c3629637810e7efde2a741656",
+        (SYMPLECTIC, 5): "a593a37ce0dbda1747f77d30e5a142f5847af903563d580ff0fb912e694087a5",
+        (SYMPLECTIC, 8): "92dd37be0ea39075aca75d476a3dc225d884e82ac89e87a1dc014753457262a6",
+        (SYMPLECTIC, 9): "ee44c3db5263a58db929419ed76cab2a076901a6fc14ecd1a8ad05a64d0ca3a7",
+    }
+
+    @staticmethod
+    def poset(n, max_sum, mode, tmp_path, capsys):
+        """``(dot, record)`` of one in-process run, ``wall_time_ms`` dropped."""
+        out = tmp_path / "poset.json"
+        argv = ["poset", "--n", str(n), "--max-sum", str(max_sum), "--mode", mode]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert isinstance(record.pop("wall_time_ms"), int)
+        return capsys.readouterr().out, record
+
+    @pytest.mark.parametrize("max_sum", [5, 8, 9])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dot_and_record_keep_their_bytes(self, mode, max_sum, tmp_path, capsys):
+        dot, record = self.poset(2, max_sum, mode, tmp_path, capsys)
+        group = SYMPLECTIC if mode == SYMPLECTIC else "exact"
+        assert hashlib.sha256(dot.encode()).hexdigest() == self.DOT_SHA256[group, max_sum]
+        blob = json.dumps(record, sort_keys=True, indent=2)
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.RECORD_SHA256[mode, max_sum]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cover_labels_agree_with_decide(self, n, mode, tmp_path, capsys):
+        # every cover is one move, and its label is decide's verdict; a move
+        # never lowers the sum, so the covers at a smaller max-sum are those
+        # at 8 whose target is in range, and checking 8 checks them all
+        labelled = {}
+        for max_sum in range(8, n, -1):
+            dot, record = self.poset(n, max_sum, mode, tmp_path, capsys)
+            edges = [ln for ln in dot.splitlines() if "->" in ln]
+            assert len(edges) == len(record["covers"])
+            labels = {
+                (tuple(a), tuple(b)): edge.rsplit('label="', 1)[1].split('"')[0]
+                for (a, b), edge in zip(record["covers"], edges)
+            }
+            if max_sum == 8:
+                labelled = labels
+            else:
+                assert labels == {e: k for e, k in labelled.items() if sum(e[1]) <= max_sum}
+        assert labelled
+        for (a, b), kind in labelled.items():
+            assert any(
+                MoveSequence(a, b, (mv,)).is_valid() for mv in _successor_moves(a)
+            ), (a, b)
+            assert kind == decide(n, a, b, mode).kind, (a, b)
+
+    @pytest.mark.parametrize("mode", [LIOUVILLE, WEINSTEIN])
+    def test_exact_labels_run_no_decide(self, mode, monkeypatch, capsys):
+        # the knapsack DFS behind decide grows exponentially in unit
+        # entries: max-sum 10 did not finish in 90 s when it labelled covers
+        def forbidden(*args, **kwargs):
+            raise AssertionError("poset ran decide")
+
+        monkeypatch.setattr(cli, "decide", forbidden)
+        monkeypatch.setattr("hsembed.order.leqq_decomposition", forbidden)
+        assert cli.main(["poset", "--n", "2", "--max-sum", "12", "--mode", mode]) == 0
+        assert capsys.readouterr().out.count('[label="YES"];') == 893
 
 
 class TestDeterminism:
