@@ -277,18 +277,18 @@ def enumerate_vector_partitions(
     by ``max_support``, by the least first coordinate (times the parts left
     it reaches what is left's), and by the bounding part while the part so
     far equals it.  A state with more nonzero coordinates than its parts
-    can cover lists nothing.  A state whose walk yielded nothing is stored
-    as an empty list and not walked again, unless the class bound cut
-    something below it: the bound depends on the classes taken before the
-    state, the state's parts do not.  The classes taken so far are an int
-    bitmask, one bit per class.  With two parts left, a state lists its
-    pairs in one step: a part, then what is left if no larger and
-    admissible, and yields, root and child alike, those that fit the class
-    bound with the classes taken before.  An explicit stack walks the
-    states, so each multiset is built once, as the parts chosen so far plus
-    one pair.  Memory grows with the states visited, not with the multisets
-    yielded.  The setting is that of Knuth's Algorithm M (*TAOCP* 4A,
-    7.2.1.5).
+    can cover lists nothing.  Each fitting part is listed with what it
+    leaves, which with two parts left is the last part, listed only if no
+    larger and admissible.  An explicit stack walks every state by one
+    rule: it takes a part if its class, and with two parts left the last
+    part's too, keeps the classes taken (an int bitmask, one bit per class)
+    within the bound, and with two parts left yields the parts chosen so
+    far plus the pair, so each multiset is built once.  A state below which
+    nothing was yielded or cut, as one running count of both tells, is
+    stored as an empty list and not walked again: the bound depends on the
+    classes taken before the state, the state's parts do not.  Memory grows
+    with the states visited, not with the multisets yielded.  The setting
+    is that of Knuth's Algorithm M (*TAOCP* 4A, 7.2.1.5).
 
     >>> list(enumerate_vector_partitions((2, 1), 2, 2))
     [((2, 0), (0, 1)), ((1, 1), (1, 0))]
@@ -334,8 +334,8 @@ def enumerate_vector_partitions(
             return b
 
         # (what is left, parts left, bounding part) -> the state's fitting parts
-        # as (part, what it leaves), largest first, or with two parts left its
-        # (part, last part) pairs; [] once the state is known to lead nowhere
+        # as (part, what it leaves), largest first, which with two parts left
+        # are (part, last part) pairs; [] once the state is known to lead nowhere
         memo: Dict[Tuple[Tuple[int, ...], int, Tuple[int, ...]], list] = {}
 
         def listed(state: Tuple[Tuple[int, ...], int, Tuple[int, ...]]) -> list:
@@ -374,50 +374,35 @@ def enumerate_vector_partitions(
             memo[state] = found
             return found
 
-        def within(found: list, taken: int) -> list:  # a 2-part state's pairs in the bound
-            if not bounded:
-                return found
-            return [pair for pair in found
-                    if (taken | bit(pair[0]) | bit(pair[1])).bit_count() <= max_classes]
-
         top = (tgt, parts, tgt)  # every admissible part is at most tgt
-        if parts == 2:
-            yield from within(listed(top), 0)
-            return
-        yielded = cuts = 0  # multisets yielded and subtrees cut by the bound
+        settled = 0  # multisets yielded plus parts cut by the bound
         # a frame: the parts chosen so far, its state, the fitting parts of
-        # that state still to walk, the classes taken, and the counts of
-        # yields and cuts before it
-        stack = [((), top, iter(listed(top)), 0, 0, 0)]
+        # that state still to walk, the classes taken, and `settled` before it
+        stack = [((), top, iter(listed(top)), 0, 0)]
         while stack:
             if deadline is not None:  # no call per step without a deadline
                 _check_deadline(deadline)
-            prefix, state, todo, mask, yielded_before, cuts_before = stack[-1]
+            prefix, state, todo, mask, before = stack[-1]
             nparts = state[1]
             for w, rest in todo:
-                taken = mask | bit(w) if bounded else 0
+                taken = (mask | bit(w) | (bit(rest) if nparts == 2 else 0)) if bounded else 0
                 if bounded and taken.bit_count() > max_classes:
-                    cuts += 1
+                    settled += 1
+                    continue
+                if nparts == 2:
+                    yield prefix + (w, rest)
+                    settled += 1
                     continue
                 child = (rest, nparts - 1, w)
                 found = memo.get(child)
                 if found is None:
                     found = listed(child)
-                if not found:
-                    continue
-                if nparts == 3:
-                    fits = within(found, taken)
-                    cuts += len(found) - len(fits)
-                    head = prefix + (w,)
-                    for pair in fits:
-                        yield head + pair
-                    yielded += len(fits)
-                else:
-                    stack.append((prefix + (w,), child, iter(found), taken, yielded, cuts))
+                if found:
+                    stack.append((prefix + (w,), child, iter(found), taken, settled))
                     break
             else:
                 stack.pop()
-                if yielded == yielded_before and cuts == cuts_before:
+                if settled == before:
                     memo[state] = []
 
     return walk()
@@ -448,10 +433,10 @@ def _assignment_blocks(
     class exactly is the multiset condition.
 
     A depth-first walk in lexicographic order of the classes chosen yields
-    each assignment as ``(1, its (group key, class key) pairs)``.  It puts
-    each proper prefix with a completion to ``feasible``, and on a no yields
-    ``(count, None)`` for the ``count`` assignments that extend it unwalked
-    (``_completions``, cached in ``memo``).
+    each assignment as ``(1, its (group key, class key) pairs)`` for the
+    caller to put to ``feasible``, which it asks of each proper prefix with
+    a completion; on a no it yields ``(count, None)`` for the ``count``
+    assignments that extend it unwalked (``_completions``, cached in ``memo``).
     """
     last = len(g_sizes) - 1
     # a frame: the pairs chosen so far, the room left, the classes still to try
@@ -543,9 +528,10 @@ def witness_search(
     Dropping (source class, target class) pairs drops equations, so every
     assignment that extends an infeasible prefix is infeasible.  One walk
     in lexicographic order (``_assignment_blocks``) asks about the proper
-    prefixes it reaches, memoized for the search, and skips the assignments
-    behind an infeasible one unbuilt, counting one call for each, so calls,
-    the cap point and witnesses are those of asking every one in turn.
+    prefixes it reaches and skips the assignments behind an infeasible one
+    unbuilt, counting one call for each, so calls, the cap point and
+    witnesses are those of asking every one in turn.  Prefixes and full
+    assignments reach the oracle through one memo, so none is asked twice.
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
@@ -589,7 +575,7 @@ def witness_search(
     y_memo: Dict[tuple, tuple] = {}
     y_class = functools.partial(_class_key, degrees=dp, memo=y_memo)
 
-    feasible = functools.cache(feasibility.exists)  # asked of proper prefixes only
+    feasible = functools.cache(feasibility.exists)  # the search's one way to the oracle
     completions: dict = {}  # (group sizes left, class room left) -> count
 
     try:
@@ -622,7 +608,7 @@ def witness_search(
                             calls = min(calls + count, budget.call_cap + 1)
                             if calls > budget.call_cap:
                                 return finish(BUDGET_EXCEEDED)
-                            if pairs is None or not feasibility.exists(pairs):
+                            if pairs is None or not feasible(pairs):
                                 continue
                             mat = hom_exists(d, dp, pairs)  # not None: the pairs are feasible
                             image, unpaired, ys_aligned = dict(pairs), list(ys), []

@@ -65,6 +65,14 @@ SEARCH_QUERIES = (
 CAPPED_QUERIES = ((3, (4, 3), (9, 9)), (3, (4, 4), (9, 8)))
 CAPPED_CALL_CAP = 2000
 
+# those queries with their budgets, then two that the search finds FEASIBLE
+BUDGETED_QUERIES = (
+    *((query, None) for query in SEARCH_QUERIES),
+    *((query, Budget(call_cap=CAPPED_CALL_CAP)) for query in CAPPED_QUERIES),
+    ((3, (3, 2), (6, 1)), None),
+    ((2, (2, 2), (4, 3)), None),
+)
+
 # the 30 tuples with sum <= 7 and at most 3 components
 SMALL_TUPLES = [d for d in canonical_tuples(7) if len(d) <= 3]
 
@@ -522,6 +530,27 @@ class TestWitnessSearch:
         assert (out.status, out.calls_used) == ("INFEASIBLE", 13238)
         assert len(asked) < 1000
 
+    def test_each_class_pair_list_reaches_the_oracle_once(self, monkeypatch):
+        # full assignments and proper prefixes share one memo per search, so
+        # a list asked as a prefix, or by another pair of partitions, is not
+        # asked again
+        import hsembed.lattice as lattice
+
+        asked = []
+        real = lattice.HomFeasibility.exists
+
+        def recording(self, pairs):
+            asked.append(tuple(pairs))
+            return real(self, pairs)
+
+        monkeypatch.setattr(lattice.HomFeasibility, "exists", recording)
+        for (n, src, dst), budget in BUDGETED_QUERIES:
+            asked.clear()
+            witness_search(n, src, dst, budget)
+            assert asked
+            repeated = [pairs for pairs, times in collections.Counter(asked).items() if times > 1]
+            assert repeated == [], (n, src, dst)
+
     @pytest.mark.parametrize("total", range(1, 9))
     def test_assignment_blocks_match_the_reference(self, total):
         # every pair of group and class sizes summing to total, one count
@@ -624,6 +653,24 @@ class TestWitnessSearch:
         assert (out.status, out.calls_used) == ("BUDGET_EXCEEDED", 0)
         assert started == [6]  # the list of l = 6 was begun, for the first source partition
         assert peak < 20 * 2**20
+
+    def test_untimed_search_reads_no_clock(self, monkeypatch):
+        # without a time_cap the search is a pure function of its inputs and
+        # budget, so neither decide nor the enumerator may read the clock
+        import hsembed.engine as engine
+
+        def clock():
+            raise AssertionError("the clock was read")
+
+        monkeypatch.setattr(engine.time, "monotonic", clock)
+        kinds = [decide(n, src, dst, budget=budget).kind
+                 for (n, src, dst), budget in BUDGETED_QUERIES]
+        assert kinds == [NO] * 5 + [UNKNOWN] * 3 + [NO]
+        for parts in (1, 2, 3, 7):
+            assert list(enumerate_vector_partitions((5, 4), parts, 2))
+            assert list(enumerate_vector_partitions(
+                (5, 4), parts, 2, max_classes=1, class_of=max
+            ))
 
     def test_set_up_does_not_grow_with_the_target_sum(self, monkeypatch):
         # the grid of (2, (3, 3), (10**6,)) has 166,665,500,002 cells; a
