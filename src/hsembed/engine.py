@@ -38,14 +38,13 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
 from .model import (
-    NO, UNKNOWN, YES, DegreeTuple, Verdict, _is_int, _JsonFields, _require_int, _require_ints,
-    homology_reduce,
+    NO, UNKNOWN, YES, DegreeTuple, Verdict, _frozen_record, _is_int, _JsonFields, _require_int,
+    _require_ints, homology_reduce,
 )
 from .order import MoveSequence, leqq, leqq_decomposition
 
@@ -72,7 +71,7 @@ class HypothesisViolated(ValueError):
     """Raised when an operation is invoked outside its stated range."""
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class Budget(_JsonFields):
     """Resource limits for the witness search.
 
@@ -101,7 +100,7 @@ class Budget(_JsonFields):
             raise ValueError(f"time_cap must be a finite positive number or None, got {cap!r}")
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class Certificate(_JsonFields):
     """Replayable evidence for a NO verdict.
 
@@ -116,7 +115,7 @@ class Certificate(_JsonFields):
     search_bounds: Optional[dict] = None
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class FeasibilityWitness(_JsonFields):
     """A solution of the formal-curve obstruction system.
 
@@ -206,7 +205,7 @@ def check_feasibility_witness(witness: FeasibilityWitness) -> List[str]:
     return problems
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class SearchOutcome:
     """Result of a witness search over the (l, q) grid."""
 

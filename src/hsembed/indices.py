@@ -22,13 +22,12 @@ the conventions are pinned down in one place and validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .model import (
-    DegreeTuple, HomologyElement, LengthMismatch, _is_int, _JsonFields, _require_int,
-    _require_ints, homology_reduce,
+    DegreeTuple, HomologyElement, LengthMismatch, _frozen_record, _is_int, _JsonFields,
+    _require_int, _require_ints, homology_reduce,
 )
 
 MIN_MORSE_INDEX = 0
@@ -98,7 +97,7 @@ def cz_index_anticanonical(
     return cz - 2 * sum(c * o for c, o in zip(v, a))
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class OrbitClass:
     """A Morse-Bott Reeb orbit class on the boundary of a complement.
 
@@ -200,7 +199,7 @@ def orbit_spectrum(n: int, degrees: Sequence[int], action_cap: int) -> List[Orbi
     return out
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class FormalCurveSpec(_JsonFields):
     """A formal punctured rational curve in a complement.
 

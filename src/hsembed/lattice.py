@@ -21,10 +21,9 @@ certificates are byte-stable across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, LengthMismatch, _require_ints
+from .model import DegreeTuple, LengthMismatch, _frozen_record, _require_ints
 
 
 class DimensionMismatch(ValueError):
@@ -90,7 +89,7 @@ class IntMatrix:
         return [list(r) for r in self.data]
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class SnfDecomposition:
     """U * A * V = D with U, V unimodular and D in Smith normal form.
 

@@ -19,7 +19,6 @@ Conventions fixed here and relied on everywhere downstream:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 
@@ -72,12 +71,73 @@ def _jsonify(obj: Any) -> Any:
 
 
 class _JsonFields:
-    """Mixin for a dataclass whose JSON is its fields, in field order, each
-    rendered by ``_jsonify``: tuples become lists and nested evidence is
-    its own ``to_json``."""
+    """Mixin for a ``_frozen_record`` class whose JSON is its fields, in
+    declaration order, each rendered by ``_jsonify``: tuples become lists
+    and nested evidence is its own ``to_json``."""
 
     def to_json(self) -> dict:
-        return {f.name: _jsonify(getattr(self, f.name)) for f in fields(self)}
+        return {name: _jsonify(getattr(self, name)) for name in self._fields}
+
+
+def _values(record: Any) -> tuple:
+    return tuple(getattr(record, name) for name in record._fields)
+
+
+def _record_eq(self: Any, other: Any) -> Any:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _values(self) == _values(other)
+
+
+def _record_hash(self: Any) -> int:
+    return hash(_values(self))
+
+
+def _record_repr(self: Any) -> str:
+    args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+    return f"{self.__class__.__qualname__}({args})"
+
+
+def _record_setattr(self: Any, name: str, value: Any) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self: Any, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _frozen_record(cls: type) -> type:
+    """Make ``cls`` a frozen record of its annotated fields, kept in
+    declaration order in ``cls._fields``.
+
+    The record gets a positional-or-keyword ``__init__`` whose defaults are
+    the class-body values, and which calls ``__post_init__`` last when the
+    class defines one (that hook normalizes fields through
+    ``object.__setattr__``).  Records of the same class are equal when
+    their field values are, hash as the tuple of those values, print as
+    ``Name(field=value, ...)``, and raise AttributeError on assignment or
+    deletion.
+    """
+    # through the attribute: since Python 3.14 (PEP 649) the class dict
+    # need not hold the annotations
+    names = tuple(cls.__annotations__)
+    params = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n for n in names)
+    lines = [f"def __init__(self, {params}):"]
+    lines += [f"    _set(self, {n!r}, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    # one compiled __init__ per class: a shared ``__init__(self, *args,
+    # **kwargs)`` builds a record about half as fast
+    scope: dict = {}
+    exec("\n".join(lines), {"_set": object.__setattr__, "_cls": cls}, scope)
+    methods = {
+        "__init__": scope["__init__"], "_fields": names,
+        "__eq__": _record_eq, "__hash__": _record_hash, "__repr__": _record_repr,
+        "__setattr__": _record_setattr, "__delattr__": _record_delattr,
+    }
+    for name, value in methods.items():
+        setattr(cls, name, value)
+    return cls
 
 
 class DegreeTuple(tuple):
@@ -121,12 +181,12 @@ class DegreeTuple(tuple):
         return "DegreeTuple(%s)" % ", ".join(str(e) for e in self)
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class HomologyElement(_JsonFields):
     """An element of H_1 of a complement, i.e. Z^k modulo Z*(d_1,...,d_k).
 
     ``coordinates`` are always stored in the canonical reduced form whose
-    last coordinate lies in [0, d_k), so dataclass equality coincides with
+    last coordinate lies in [0, d_k), so record equality coincides with
     equality in the quotient group.  Construct via :func:`homology_reduce`
     or directly; reduction happens either way.
     """
@@ -172,7 +232,7 @@ NO = "NO"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class Verdict:
     """Outcome of an embedding query, with its supporting evidence.
 

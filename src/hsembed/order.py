@@ -23,12 +23,11 @@ is a closed-form inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, _JsonFields, _require_int, _require_ints
+from .model import DegreeTuple, _frozen_record, _JsonFields, _require_int, _require_ints
 
 COMBINE = "combine"
 DUPLICATE = "duplicate"
@@ -42,7 +41,7 @@ class InvalidMove(ValueError):
     """Raised when a move's indices do not fit the current tuple."""
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class Move:
     """A single rewriting move, indexed into the *current canonical* tuple.
 
@@ -93,7 +92,7 @@ class Move:
         return {"op": DUPLICATE, "i": self.i}
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class MoveSequence(_JsonFields):
     """A replayable sequence of moves from one degree tuple to another."""
 
@@ -124,7 +123,7 @@ class MoveSequence(_JsonFields):
         return len(self.moves)
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class DecompositionWitness(_JsonFields):
     """Matrix certificate for the partial order.
 

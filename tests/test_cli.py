@@ -22,6 +22,23 @@ def run_cli(*args):
     return subprocess.run(EXE + list(args), capture_output=True, text=True)
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about a fifth of
+    # the CLI's cold start.  Compare sys.modules before and after the
+    # import, so what site loads on a given machine does not count.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hsembed.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
 class TestDecideCommand:
     def test_yes_exit_zero(self):
         r = run_cli("decide", "--n", "2", "--source", "1,1,1", "--target", "2,1")

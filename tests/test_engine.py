@@ -817,9 +817,7 @@ class TestWitnessSearch:
     def test_witness_checker_flags_corruption(self):
         out = witness_search(2, (1, 1, 1), (1, 1, 1))
         w = out.witness
-        from dataclasses import replace
-
-        broken = replace(w, q=2)
+        broken = FeasibilityWitness(w.n, w.source, w.target, w.l, 2, w.xs, w.ys, w.matrix)
         assert check_feasibility_witness(broken) != []
 
     @pytest.mark.parametrize(
@@ -833,11 +831,10 @@ class TestWitnessSearch:
     def test_witness_checker_reports_misshaped_vectors(self, x0, y0, problem):
         # evidence from outside may have vectors of any length: the checker
         # reports them and skips their image check instead of raising
-        from dataclasses import replace
-
         w = witness_search(2, (2, 2), (4, 3)).witness
         ys = w.ys if y0 is None else (y0,) + w.ys[1:]
-        broken = replace(w, xs=(x0,) + w.xs[1:], ys=ys)
+        xs = (x0,) + w.xs[1:]
+        broken = FeasibilityWitness(w.n, w.source, w.target, w.l, w.q, xs, ys, w.matrix)
         assert problem in check_feasibility_witness(broken)
 
 

@@ -1,18 +1,25 @@
 """Degree tuples, homology normal forms, and verdict containers."""
 
 import json
+from collections.abc import Hashable
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hsembed import (
+    Budget,
+    Certificate,
     DecompositionWitness,
     DegreeTuple,
     EmptyInput,
+    FeasibilityWitness,
+    FormalCurveSpec,
     HomologyElement,
     IntMatrix,
     LengthMismatch,
+    Move,
+    MoveSequence,
     NO,
     NonPositiveEntry,
     OrbitClass,
@@ -23,6 +30,8 @@ from hsembed import (
     hom_exists,
     homology_reduce,
 )
+from hsembed.engine import SearchOutcome
+from hsembed.lattice import SnfDecomposition
 
 from oracles import reduce_mod_line
 
@@ -149,3 +158,138 @@ class TestVerdict:
 
     def test_kind_vocabulary(self):
         assert {YES, NO, UNKNOWN} == {"YES", "NO", "UNKNOWN"}
+
+
+# One sample of each of the 12 frozen records: its class, its positional
+# arguments, its field names in declaration order, its repr, and its
+# to_json keys (None where the record has no to_json).  The names, reprs
+# and keys were taken from the records when they were still dataclasses.
+_ENDS = (OrbitClass(2, (1,), (1,), 1),)
+_SNF = (IntMatrix([[1, 1], [3, 2]]), IntMatrix([[1, 0], [0, 6]]), IntMatrix([[-1, 3], [1, -2]]))
+_XS = ((4, 0), (0, 1), (0, 1), (0, 1), (0, 1))
+_YS = ((0, 3), (1, 0), (1, 0), (1, 0), (1, 0))
+RECORDS = [
+    (
+        HomologyElement, ((3, 1, 1), (1, 1, 1)), ("coordinates", "modulus"),
+        "HomologyElement(coordinates=(2, 0, 0), modulus=DegreeTuple(1, 1, 1))",
+        ("coordinates", "modulus"),
+    ),
+    (
+        Verdict, (UNKNOWN, None, None, "budget", {"calls_used": 7}),
+        ("kind", "witness", "certificate", "reason", "search_bounds"),
+        "Verdict(kind='UNKNOWN', witness=None, certificate=None, reason='budget', "
+        "search_bounds={'calls_used': 7})",
+        ("kind", "reason", "search_bounds"),
+    ),
+    (
+        Budget, (), ("q_cap", "call_cap", "time_cap"),
+        "Budget(q_cap=4, call_cap=1000000, time_cap=None)",
+        ("q_cap", "call_cap", "time_cap"),
+    ),
+    (
+        Certificate, ("SUM_DROP", {"n": 2}), ("rule", "data", "search_bounds"),
+        "Certificate(rule='SUM_DROP', data={'n': 2}, search_bounds=None)",
+        ("rule", "data", "search_bounds"),
+    ),
+    (
+        FeasibilityWitness, (2, (2, 2), (4, 3), 5, 2, _XS, _YS, [[3, 1], [3, 0]]),
+        ("n", "source", "target", "l", "q", "xs", "ys", "matrix"),
+        "FeasibilityWitness(n=2, source=DegreeTuple(2, 2), target=DegreeTuple(4, 3), l=5, q=2, "
+        "xs=((4, 0), (0, 1), (0, 1), (0, 1), (0, 1)), ys=((0, 3), (1, 0), (1, 0), (1, 0), (1, 0)), "
+        "matrix=IntMatrix([[3, 1], [3, 0]]))",
+        ("n", "source", "target", "l", "q", "xs", "ys", "matrix"),
+    ),
+    (
+        SearchOutcome, ("FEASIBLE", None, {"l": 5}, 1),
+        ("status", "witness", "bounds", "calls_used"),
+        "SearchOutcome(status='FEASIBLE', witness=None, bounds={'l': 5}, calls_used=1)",
+        None,
+    ),
+    (
+        OrbitClass, (2, (2, 1), (1, 0), 1), ("n", "degrees", "v", "delta"),
+        "OrbitClass(n=2, degrees=DegreeTuple(2, 1), v=(1, 0), delta=1)",
+        ("v", "delta", "morse_index", "action", "cz", "homology"),
+    ),
+    (
+        FormalCurveSpec, (2, (1,), _ENDS, 1),
+        ("n", "degrees", "positive_ends", "q", "tangency_order"),
+        "FormalCurveSpec(n=2, degrees=DegreeTuple(1), positive_ends=(OrbitClass(n=2, "
+        "degrees=DegreeTuple(1), v=(1,), delta=1),), q=1, tangency_order=None)",
+        ("n", "degrees", "positive_ends", "q", "tangency_order"),
+    ),
+    (
+        SnfDecomposition, _SNF, ("u", "d", "v"),
+        "SnfDecomposition(u=IntMatrix([[1, 1], [3, 2]]), d=IntMatrix([[1, 0], [0, 6]]), "
+        "v=IntMatrix([[-1, 3], [1, -2]]))",
+        None,
+    ),
+    (
+        Move, ("combine", 0, 1), ("op", "i", "j"),
+        "Move(op='combine', i=0, j=1)",
+        ("op", "i", "j"),
+    ),
+    (
+        MoveSequence, ((2, 3), (5,), [Move("combine", 0, 1)]), ("source", "target", "moves"),
+        "MoveSequence(source=DegreeTuple(3, 2), target=DegreeTuple(5), "
+        "moves=(Move(op='combine', i=0, j=1),))",
+        ("source", "target", "moves"),
+    ),
+    (
+        DecompositionWitness, ((2, 1), (3,), ((1,), (1,))), ("source", "target", "rows"),
+        "DecompositionWitness(source=DegreeTuple(2, 1), target=DegreeTuple(3), rows=((1,), (1,)))",
+        ("source", "target", "rows"),
+    ),
+]
+RECORD_IDS = [r[0].__name__ for r in RECORDS]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, args, names, text, keys", RECORDS, ids=RECORD_IDS)
+    def test_fields_repr_and_json_keys(self, cls, args, names, text, keys):
+        record = cls(*args)
+        assert cls._fields == names
+        # the fields are the constructor's parameters, in the same order
+        assert cls(**dict(zip(names, args))) == record
+        assert repr(record) == text
+        if keys is not None:
+            assert tuple(record.to_json()) == keys
+
+    @pytest.mark.parametrize("cls, args, names, text, keys", RECORDS, ids=RECORD_IDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, args, names, text, keys):
+        record = cls(*args)
+        before = repr(record)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+        assert repr(record) == before
+
+    @pytest.mark.parametrize("cls, args, names, text, keys", RECORDS, ids=RECORD_IDS)
+    def test_equality_is_by_class_and_fields(self, cls, args, names, text, keys):
+        a, b = cls(*args), cls(*args)
+        assert a == b and not a != b
+        assert a.__eq__(tuple(getattr(a, n) for n in names)) is NotImplemented
+        if all(isinstance(getattr(a, n), Hashable) for n in names):
+            assert hash(a) == hash(b) == hash(tuple(getattr(a, n) for n in names))
+            assert len({a, b}) == 1
+
+    def test_unequal_fields_make_unequal_records(self):
+        assert Move("combine", 0, 1) != Move("combine", 0, 2)
+        assert Budget(q_cap=5) != Budget()
+        assert HomologyElement((1, 0), (4, 2)) != HomologyElement((2, 0), (4, 2))
+
+    def test_defaults_fill_trailing_fields(self):
+        assert Budget() == Budget(4, 10**6, None)
+        assert Move("duplicate", 3) == Move("duplicate", 3, None)
+        assert Verdict.unknown("r") == Verdict(UNKNOWN, None, None, "r", None)
+
+    def test_post_init_normalizes(self):
+        seq = MoveSequence([2, 3], (5,), [Move("combine", 0, 1)])
+        assert type(seq.source) is DegreeTuple and seq.source == (3, 2)
+        assert type(seq.moves) is tuple
+        assert HomologyElement((3, 1, 1), (1, 1, 1)).coordinates == (2, 0, 0)
+        w = FeasibilityWitness(2, (2, 2), (4, 3), 5, 2, _XS, _YS, [[3, 1], [3, 0]])
+        assert type(w.matrix) is IntMatrix and type(w.target) is DegreeTuple
