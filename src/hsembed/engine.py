@@ -407,18 +407,22 @@ def enumerate_vector_partitions(
     return walk()
 
 
-def _completions(g_sizes: Tuple[int, ...], left: Tuple[int, ...], memo: dict) -> int:
-    """Ways to send groups of sizes ``g_sizes`` into classes with room ``left``
-    that fill every class exactly; ``memo`` caches the counts."""
+def _completions(g_sizes: Tuple[int, ...], rooms: Tuple[int, ...], memo: dict) -> int:
+    """Ways to send groups of sizes ``g_sizes`` into classes with room
+    ``rooms`` that fill every class exactly, cached in ``memo`` by the
+    arguments.  Relabelling the classes maps fillings one to one, so the
+    count depends only on the multiset of rooms; callers pass the rooms
+    sorted, and one count serves every order of them."""
     if not g_sizes:
-        return int(not any(left))
-    key = (g_sizes, left)
-    if key not in memo:
-        memo[key] = sum(
-            _completions(g_sizes[1:], left[:h] + (room - g_sizes[0],) + left[h + 1:], memo)
-            for h, room in enumerate(left) if room >= g_sizes[0]
+        return int(not any(rooms))
+    count = memo.get((g_sizes, rooms))
+    if count is None:
+        size, rest_sizes = g_sizes[0], g_sizes[1:]
+        count = memo[g_sizes, rooms] = sum(
+            _completions(rest_sizes, tuple(sorted(rooms[:h] + (r - size,) + rooms[h + 1:])), memo)
+            for h, r in enumerate(rooms) if r >= size
         )
-    return memo[key]
+    return count
 
 
 def _assignment_blocks(
@@ -448,7 +452,10 @@ def _assignment_blocks(
             if room[h] < size:
                 continue
             rest = room[:h] + (room[h] - size,) + room[h + 1:]
-            count = _completions(rest_sizes, rest, memo)
+            rooms = tuple(sorted(rest))
+            count = memo.get((rest_sizes, rooms))
+            if count is None:
+                count = _completions(rest_sizes, rooms, memo)
             if not count:
                 continue
             head = pairs + ((g_keys[g], h_keys[h]),)
@@ -575,7 +582,8 @@ def witness_search(
     y_class = functools.partial(_class_key, degrees=dp, memo=y_memo)
 
     feasible = functools.cache(feasibility.exists)  # the search's one way to the oracle
-    completions: dict = {}  # (group sizes left, class room left) -> count
+    completions: dict = {}  # (group sizes left, multiset of rooms left, sorted) -> count
+    call_cap = budget.call_cap
 
     try:
         for l in range(sd, sdp + 1):
@@ -600,12 +608,14 @@ def witness_search(
                     for ys, h_keys, h_sizes in y_partitions:
                         if len(h_sizes) > len(g_sizes):
                             continue
-                        _check_deadline(deadline)
+                        if deadline is not None:
+                            _check_deadline(deadline)
                         for count, pairs in _assignment_blocks(
                             g_keys, g_sizes, h_keys, h_sizes, feasible, completions
                         ):
-                            calls = min(calls + count, budget.call_cap + 1)
-                            if calls > budget.call_cap:
+                            calls += count
+                            if calls > call_cap:
+                                calls = call_cap + 1
                                 return finish(BUDGET_EXCEEDED)
                             if pairs is None or not feasible(pairs):
                                 continue

@@ -551,6 +551,30 @@ class TestWitnessSearch:
             repeated = [pairs for pairs, times in collections.Counter(asked).items() if times > 1]
             assert repeated == [], (n, src, dst)
 
+    def test_completion_counts_are_kept_once_per_multiset_of_rooms(self, monkeypatch):
+        # relabelling the classes changes no count of completions, so the
+        # count memo is keyed by the group sizes left and the rooms left
+        # sorted; keyed by the rooms in their order it held 8,617 counts on
+        # (7,7), and [174, 217, 206, 267, 564, 1149] on the other queries
+        import hsembed.engine as engine
+
+        memos = []
+        real = engine._assignment_blocks
+
+        def capturing(*args):
+            memos.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_assignment_blocks", capturing)
+        queries = [(query, None) for query in SEARCH_QUERIES]
+        queries += [(query, Budget(call_cap=CAPPED_CALL_CAP)) for query in CAPPED_QUERIES]
+        most = [2891, 42, 78, 58, 118, 120, 236]
+        for ((n, src, dst), budget), bound in zip(queries, most, strict=True):
+            memos.clear()
+            witness_search(n, src, dst, budget)
+            assert memos and all(memo is memos[0] for memo in memos), (n, src, dst)
+            assert len(memos[0]) <= bound, (n, src, dst)
+
     @pytest.mark.parametrize("total", range(1, 9))
     def test_assignment_blocks_match_the_reference(self, total):
         # every pair of group and class sizes summing to total, one count

@@ -1,7 +1,7 @@
 """Golden JSON of the evidence types.
 
 Pins the exact ``to_json()`` dict of one instance of every evidence
-dataclass, and of a YES, a NO and an UNKNOWN verdict, so that a change in
+record, and of a YES, a NO and an UNKNOWN verdict, so that a change in
 how evidence serializes shows here before it shows in CLI output, stored
 records or certificate replay.
 """
