@@ -21,7 +21,7 @@ certificates are byte-stable across runs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import DegreeTuple, LengthMismatch, _frozen_record, _require_ints
 
@@ -30,18 +30,21 @@ class DimensionMismatch(ValueError):
     """Raised when matrix/vector shapes are incompatible."""
 
 
+@_frozen_record
 class IntMatrix:
     """Immutable dense matrix of Python ints.
 
     Deliberately tiny: construction, multiplication, and matrix-vector
-    products are all the solver needs.  Rows are stored as a tuple of
-    tuples; equality and hashing are structural.
+    products are all the solver needs.  A frozen record of one field,
+    ``data``, the rows as a tuple of tuples; ``rows`` and ``cols`` are
+    derived from it.  Equality and hashing are structural, and it prints
+    and serializes as its list of rows.
     """
 
-    __slots__ = ("data", "rows", "cols")
+    data: tuple
 
-    def __init__(self, data: Iterable[Iterable[int]]) -> None:
-        rows = tuple(_require_ints(row, "matrix") for row in data)
+    def __post_init__(self) -> None:
+        rows = tuple(_require_ints(row, "matrix") for row in self.data)
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix must have at least one row and one column")
         width = len(rows[0])
@@ -50,9 +53,6 @@ class IntMatrix:
         object.__setattr__(self, "data", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IntMatrix is immutable")
 
     def column(self, j: int) -> Tuple[int, ...]:
         return tuple(r[j] for r in self.data)
@@ -75,12 +75,6 @@ class IntMatrix:
 
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash(self.data)
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.data]})"

@@ -79,6 +79,15 @@ class _JsonFields:
         return {name: _jsonify(getattr(self, name)) for name in self._fields}
 
 
+class _SparseJsonFields:
+    """``_JsonFields`` without the fields whose value is None, so an absent
+    key means the field's None default."""
+
+    def to_json(self) -> dict:
+        values = ((name, getattr(self, name)) for name in self._fields)
+        return {name: _jsonify(value) for name, value in values if value is not None}
+
+
 def _values(record: Any) -> tuple:
     return tuple(getattr(record, name) for name in record._fields)
 
@@ -116,7 +125,8 @@ def _frozen_record(cls: type) -> type:
     ``object.__setattr__``).  Records of the same class are equal when
     their field values are, hash as the tuple of those values, print as
     ``Name(field=value, ...)``, and raise AttributeError on assignment or
-    deletion.
+    deletion.  A method the class defines itself, such as its own
+    ``__repr__``, stays.
     """
     # through the attribute: since Python 3.14 (PEP 649) the class dict
     # need not hold the annotations
@@ -136,7 +146,9 @@ def _frozen_record(cls: type) -> type:
         "__setattr__": _record_setattr, "__delattr__": _record_delattr,
     }
     for name, value in methods.items():
-        setattr(cls, name, value)
+        # None: a class that defines __eq__ gets __hash__ = None implicitly
+        if cls.__dict__.get(name) is None:
+            setattr(cls, name, value)
     return cls
 
 
@@ -233,14 +245,15 @@ UNKNOWN = "UNKNOWN"
 
 
 @_frozen_record
-class Verdict:
+class Verdict(_SparseJsonFields):
     """Outcome of an embedding query, with its supporting evidence.
 
     Exactly one of ``witness`` (for YES) and ``certificate`` (for NO) is
     populated; UNKNOWN verdicts carry only a human-readable ``reason``.
     ``witness``/``certificate`` are objects exposing ``to_json``.  When the
     engine ran a witness search on the way to this verdict, ``search_bounds``
-    documents the explored grid.
+    documents the explored grid.  The JSON leaves out the fields that are
+    None.
     """
 
     kind: str
@@ -268,15 +281,3 @@ class Verdict:
     @classmethod
     def unknown(cls, reason: str, search_bounds: Optional[dict] = None) -> "Verdict":
         return cls(UNKNOWN, reason=reason, search_bounds=search_bounds)
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.witness is not None:
-            out["witness"] = _jsonify(self.witness)
-        if self.certificate is not None:
-            out["certificate"] = _jsonify(self.certificate)
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.search_bounds is not None:
-            out["search_bounds"] = _jsonify(self.search_bounds)
-        return out

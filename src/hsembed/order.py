@@ -27,7 +27,9 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, _frozen_record, _JsonFields, _require_int, _require_ints
+from .model import (
+    DegreeTuple, _frozen_record, _JsonFields, _require_int, _require_ints, _SparseJsonFields,
+)
 
 COMBINE = "combine"
 DUPLICATE = "duplicate"
@@ -42,7 +44,7 @@ class InvalidMove(ValueError):
 
 
 @_frozen_record
-class Move:
+class Move(_SparseJsonFields):
     """A single rewriting move, indexed into the *current canonical* tuple.
 
     ``combine`` merges entries at positions i < j; ``duplicate`` repeats the
@@ -85,11 +87,6 @@ class Move:
         if not 0 <= self.i < n:
             raise InvalidMove(f"duplicate({self.i}) out of range for length {n}")
         return tuple(sorted(state + (state[self.i],), reverse=True))
-
-    def to_json(self) -> dict:
-        if self.op == COMBINE:
-            return {"op": COMBINE, "i": self.i, "j": self.j}
-        return {"op": DUPLICATE, "i": self.i}
 
 
 @_frozen_record

@@ -32,6 +32,7 @@ from hsembed import (
 )
 from hsembed.engine import SearchOutcome
 from hsembed.lattice import SnfDecomposition
+from hsembed.model import _frozen_record
 
 from oracles import reduce_mod_line
 
@@ -160,10 +161,11 @@ class TestVerdict:
         assert {YES, NO, UNKNOWN} == {"YES", "NO", "UNKNOWN"}
 
 
-# One sample of each of the 12 frozen records: its class, its positional
+# One sample of each of the 13 frozen records: its class, its positional
 # arguments, its field names in declaration order, its repr, and its
-# to_json keys (None where the record has no to_json).  The names, reprs
-# and keys were taken from the records when they were still dataclasses.
+# to_json keys (None where the record has no to_json or its JSON is not a
+# dict).  The names, reprs and keys were taken from the records when they
+# were still dataclasses, and IntMatrix's from its earlier hand-written class.
 _ENDS = (OrbitClass(2, (1,), (1,), 1),)
 _SNF = (IntMatrix([[1, 1], [3, 2]]), IntMatrix([[1, 0], [0, 6]]), IntMatrix([[-1, 3], [1, -2]]))
 _XS = ((4, 0), (0, 1), (0, 1), (0, 1), (0, 1))
@@ -239,6 +241,7 @@ RECORDS = [
         "DecompositionWitness(source=DegreeTuple(2, 1), target=DegreeTuple(3), rows=((1,), (1,)))",
         ("source", "target", "rows"),
     ),
+    (IntMatrix, ([[1, 2], [3, 4]],), ("data",), "IntMatrix([[1, 2], [3, 4]])", None),
 ]
 RECORD_IDS = [r[0].__name__ for r in RECORDS]
 
@@ -285,6 +288,29 @@ class TestRecords:
         assert Budget() == Budget(4, 10**6, None)
         assert Move("duplicate", 3) == Move("duplicate", 3, None)
         assert Verdict.unknown("r") == Verdict(UNKNOWN, None, None, "r", None)
+
+    def test_methods_the_class_defines_stay(self):
+        @_frozen_record
+        class Pair:
+            a: int
+            b: int = 0
+
+            def __repr__(self):
+                return f"<{self.a}|{self.b}>"
+
+        assert repr(Pair(1)) == "<1|0>"
+        assert Pair(1) == Pair(1, 0) and Pair._fields == ("a", "b")
+        with pytest.raises(AttributeError):
+            Pair(1).a = 2
+
+    def test_sparse_json_round_trips(self):
+        # an absent key is the field's None default
+        for move in (Move("combine", 0, 2), Move("duplicate", 1)):
+            assert Move(**move.to_json()) == move
+        assert Move("duplicate", 1).to_json() == {"op": "duplicate", "i": 1}
+        v = Verdict.unknown("budget", search_bounds={"calls_used": 7, "l_max": 9})
+        assert tuple(v.to_json()) == ("kind", "reason", "search_bounds")
+        assert Verdict(**v.to_json()) == v
 
     def test_post_init_normalizes(self):
         seq = MoveSequence([2, 3], (5,), [Move("combine", 0, 1)])
