@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 import time
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
@@ -237,13 +238,34 @@ def _emit(
         found += [(head + (c,), left + (r - c,)) for c in values[lo:lo + _CHUNK]]
 
 
+def _tails(
+    w: Tuple[int, ...], rest: Tuple[int, ...], p: int, max_support: int, one_new: bool
+) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """The splits of ``rest`` into ``p`` parts, none above ``w``, with no part
+    but ``w`` or, if ``one_new``, one more, in descending order.  With
+    gap = rest - p * w, that is p copies of w if the gap is 0, and else, for
+    k from 1 to p, p - k copies of w and k of c = w + gap / k, where c must
+    be integral (k divides every entry of the gap), nonnegative, nonzero and
+    within ``max_support``, and below w, which it is for every k iff the
+    gap is below 0."""
+    gap = tuple(r - p * x for r, x in zip(rest, w))
+    if not any(gap):
+        yield (w,) * p
+    elif one_new and gap < (0,) * len(gap):
+        g = math.gcd(*gap)
+        for k in range(1, min(p, g) + 1):
+            if g % k == 0:
+                c = tuple(x + y // k for x, y in zip(w, gap))
+                if min(c) >= 0 and any(c) and len(c) - c.count(0) <= max_support:
+                    yield (w,) * (p - k) + (c,) * k
+
+
 def enumerate_vector_partitions(
     target: Sequence[int],
     parts: int,
     max_support: int,
     *,
     max_classes: Optional[int] = None,
-    class_of: Optional[Callable[[Tuple[int, ...]], Hashable]] = None,
     deadline: Optional[float] = None,
 ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """All multisets of ``parts`` nonzero nonnegative vectors with the given
@@ -254,17 +276,15 @@ def enumerate_vector_partitions(
     form).  The multisets come in descending lexicographic order of those
     tuples, the same order as the brute-force ``partitions_of_vector``.
 
-    With ``max_classes``, only the multisets whose parts fall into at most
-    that many classes are yielded, in the same order: the sequence is the
-    unbounded one with the others filtered out.  A part's class is
-    ``class_of(part)`` (by default the part itself, so the bound is on
-    distinct parts); it is asked once per part, and only for the parts the
-    walk reaches.  With ``deadline``, a value of ``time.monotonic()``, the
-    generator raises TimeoutError once the clock has passed it.  It reads
-    the clock before each run of last coordinates a listing's descent
-    lists and every ``_CHUNK`` parts within one, at every step of its walk
-    and before it classifies a new part, so neither a long listing nor a
-    walk that cuts much and yields little runs past it.
+    With ``max_classes``, only the multisets with at most that many
+    distinct parts are yielded, in the same order: the sequence is the
+    unbounded one with the others filtered out.  With ``deadline``, a value
+    of ``time.monotonic()``, the generator raises TimeoutError once the
+    clock has passed it.  It reads the clock before each run of last
+    coordinates a listing's descent lists and every ``_CHUNK`` parts within
+    one, at every step of its walk and before each closed-form tail, so
+    neither a long listing nor a walk that cuts much and yields little runs
+    past it.
 
     Method: a memoized walk over sub-split states, with no global list of
     parts.  A state is what is left, the number of parts left, and the
@@ -279,20 +299,26 @@ def enumerate_vector_partitions(
     can cover lists nothing.  Each fitting part is listed with what it
     leaves, which with two parts left is the last part, listed only if no
     larger and admissible.  An explicit stack walks every state by one
-    rule: it takes a part if its class, and with two parts left the last
-    part's too, keeps the classes taken (an int bitmask, one bit per class)
-    within the bound, and with two parts left yields the parts chosen so
+    rule, counting the distinct parts taken: the parts descend, so a part
+    is new iff it differs from the state's bounding part.  It cuts a part
+    that takes the count past the bound.  Where taking a part w leaves no
+    new part allowed, or one, the p parts left are not walked but solved
+    for (``_tails``): p copies of w, then i copies of w and p - i of one
+    smaller part, for i from p - 1 down to 0, which is their descending
+    order.  Otherwise, with two parts left, it yields the parts chosen so
     far plus the pair, so each multiset is built once.  A state below which
-    nothing was yielded or cut, as one running count of both tells, is
-    stored as an empty list and not walked again: the bound depends on the
-    classes taken before the state, the state's parts do not.  Memory grows
-    with the states visited, not with the multisets yielded.  The setting
-    is that of Knuth's Algorithm M (*TAOCP* 4A, 7.2.1.5).
+    nothing was yielded, cut or solved for, as one running count of all
+    three tells, is stored as an empty list and not walked again: the bound
+    depends on the parts taken before the state, the state's parts do not.
+    Memory grows with the states visited, not with the multisets yielded,
+    and under a bound the walk descends only while two or more new parts
+    are allowed.  The setting is that of Knuth's Algorithm M (*TAOCP* 4A,
+    7.2.1.5).
 
     >>> list(enumerate_vector_partitions((2, 1), 2, 2))
     [((2, 0), (0, 1)), ((1, 1), (1, 0))]
-    >>> list(enumerate_vector_partitions((2, 1), 2, 2, max_classes=1, class_of=max))
-    [((1, 1), (1, 0))]
+    >>> list(enumerate_vector_partitions((2, 2), 2, 2, max_classes=1))
+    [((1, 1), (1, 1))]
     >>> next(enumerate_vector_partitions((2, 1), 2, 2, deadline=time.monotonic() - 1))
     Traceback (most recent call last):
     TimeoutError: the deadline has passed
@@ -312,25 +338,14 @@ def enumerate_vector_partitions(
         _require_int(max_classes, "max_classes")
     m = len(tgt)
     last = m - 1
-    # a multiset of `parts` parts has at most `parts` classes
+    # a multiset of `parts` parts has at most `parts` distinct parts
     bounded = max_classes is not None and max_classes < parts
-    key_of = class_of or (lambda part: part)
 
     def walk() -> Iterator[Tuple[Tuple[int, ...], ...]]:
         if parts == 1:
             if m - tgt.count(0) <= max_support:
                 yield (tgt,)
             return
-
-        bits: Dict[Tuple[int, ...], int] = {}  # part -> the bit of its class
-        index: Dict[Hashable, int] = {}  # class -> the position of its bit
-
-        def bit(part: Tuple[int, ...]) -> int:
-            b = bits.get(part)
-            if b is None:
-                _check_deadline(deadline)
-                b = bits[part] = 1 << index.setdefault(key_of(part), len(index))
-            return b
 
         # (what is left, parts left, bounding part) -> the state's fitting parts
         # as (part, what it leaves), largest first, which with two parts left
@@ -374,19 +389,25 @@ def enumerate_vector_partitions(
             return found
 
         top = (tgt, parts, tgt)  # every admissible part is at most tgt
-        settled = 0  # multisets yielded plus parts cut by the bound
+        settled = 0  # multisets yielded, parts cut by the bound, and tails solved for
         # a frame: the parts chosen so far, its state, the fitting parts of
-        # that state still to walk, the classes taken, and `settled` before it
+        # that state still to walk, the distinct parts taken, and `settled` before it
         stack = [((), top, iter(listed(top)), 0, 0)]
         while stack:
             if deadline is not None:  # no call per step without a deadline
                 _check_deadline(deadline)
-            prefix, state, todo, mask, before = stack[-1]
-            nparts = state[1]
+            prefix, state, todo, used, before = stack[-1]
+            _, nparts, bound = state
             for w, rest in todo:
-                taken = (mask | bit(w) | (bit(rest) if nparts == 2 else 0)) if bounded else 0
-                if bounded and taken.bit_count() > max_classes:
+                now = used + (w != bound) if bounded else 0  # w is new iff not the bound
+                if bounded and now >= max_classes - 1:  # at most one new part after w
                     settled += 1
+                    if now <= max_classes:
+                        if deadline is not None:
+                            _check_deadline(deadline)
+                        head = prefix + (w,)
+                        for tail in _tails(w, rest, nparts - 1, max_support, now < max_classes):
+                            yield head + tail
                     continue
                 if nparts == 2:
                     yield prefix + (w, rest)
@@ -397,7 +418,7 @@ def enumerate_vector_partitions(
                 if found is None:
                     found = listed(child)
                 if found:
-                    stack.append((prefix + (w,), child, iter(found), taken, settled))
+                    stack.append((prefix + (w,), child, iter(found), now, settled))
                     break
             else:
                 stack.pop()
@@ -524,12 +545,17 @@ def witness_search(
     no source partition of l has more of: a source partition has at most
     as many classes as distinct parts, which are at most k unit vectors
     and the parts larger than a unit, each of which adds at least 1 to
-    q * sum(d) - l, and that is largest at q_max.  The target partitions
-    left out are exactly ones every source partition skips, so the order
-    of the pairs tried, and with it calls, bounds and witnesses, is the
-    same as with every target partition listed.  The enumerators get the
-    search's deadline and raise TimeoutError when it passes, which ends
-    the search with BUDGET_EXCEEDED even while a long listing is under way.
+    q * sum(d) - l, and that is largest at q_max.  On the target side a
+    class is the part itself, so the bound is one on distinct parts, which
+    the enumerator applies without computing a class: two vectors of one
+    class differ by m * d' with m != 0, so one of them is at least d' in
+    every coordinate, and no part of a partition of d' into l >= 2 nonzero
+    parts is.  The target partitions left out are exactly ones every
+    source partition skips, so the order of the pairs tried, and with it
+    calls, bounds and witnesses, is the same as with every target
+    partition listed.  The enumerators get the search's deadline and
+    raise TimeoutError when it passes, which ends the search with
+    BUDGET_EXCEEDED even while a long listing is under way.
 
     Dropping (source class, target class) pairs drops equations, so every
     assignment that extends an infeasible prefix is infeasible.  One walk
@@ -579,7 +605,6 @@ def witness_search(
     feasibility = HomFeasibility(d, dp)
     x_memo: Dict[tuple, tuple] = {}  # each side's class key of every vector seen
     y_memo: Dict[tuple, tuple] = {}
-    y_class = functools.partial(_class_key, degrees=dp, memo=y_memo)
 
     feasible = functools.cache(feasibility.exists)  # the search's one way to the oracle
     completions: dict = {}  # (group sizes left, multiset of rooms left, sorted) -> count
@@ -601,7 +626,7 @@ def witness_search(
                             (ys, *_classify(ys, dp, y_memo))
                             for ys in enumerate_vector_partitions(
                                 tuple(dp), l, len(dp),
-                                max_classes=most, class_of=y_class, deadline=deadline,
+                                max_classes=most, deadline=deadline,
                             )
                         ]
                     g_keys, g_sizes = _classify(xs, d, x_memo)

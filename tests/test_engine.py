@@ -265,9 +265,9 @@ class TestVectorPartitions:
             enumerate_vector_partitions((2, 1), 2, 2, max_classes=max_classes)
 
     def test_class_bound_filters_the_unbounded_sequence(self):
-        # every bound from 1 to the part count, on every small target, with
-        # the target's homology classes as in the search: the bounded walk
-        # yields the unbounded sequence without the multisets of more classes
+        # every bound from 1 to the part count, on every small target: a bound
+        # on distinct parts filters the unbounded sequence as the same bound on
+        # the target's homology classes would, which the search relies on
         targets = [
             *((t,) for t in range(1, 11)),
             *itertools.product(range(1, 6), repeat=2),
@@ -286,9 +286,7 @@ class TestVectorPartitions:
                 full = list(enumerate_vector_partitions(target, parts, max_support))
                 classes = [len(set(map(class_of, p))) for p in full]
                 for bound in range(1, parts + 1):
-                    got = enumerate_vector_partitions(
-                        target, parts, max_support, max_classes=bound, class_of=class_of
-                    )
+                    got = enumerate_vector_partitions(target, parts, max_support, max_classes=bound)
                     expected = [p for p, c in zip(full, classes) if c <= bound]
                     assert list(got) == expected, (target, parts, max_support, bound)
                     cases += 1
@@ -300,33 +298,49 @@ class TestVectorPartitions:
             st.integers(1, sum(target) + 1),
             st.integers(1, len(target)),
             st.integers(1, sum(target) + 1),
-            st.integers(0, 3),
         )
     ))
     @settings(max_examples=100, deadline=None)
     def test_class_bound_matches_a_filter(self, case):
-        # modulus 0 means the default classes, one per distinct part
-        target, parts, max_support, bound, modulus = case
-
-        def class_of(part):
-            return sum(i * c for i, c in enumerate(part, 1)) % modulus
-
-        key = class_of if modulus else (lambda part: part)
-        got = enumerate_vector_partitions(
-            target, parts, max_support, max_classes=bound, class_of=class_of if modulus else None
-        )
+        target, parts, max_support, bound = case
+        got = enumerate_vector_partitions(target, parts, max_support, max_classes=bound)
         full = enumerate_vector_partitions(target, parts, max_support)
-        assert list(got) == [p for p in full if len(set(map(key, p))) <= bound]
+        assert list(got) == [p for p in full if len(set(p)) <= bound]
 
     @pytest.mark.parametrize("target, parts", [((9, 9), 7), ((9, 8), 8)])
     def test_frozen_counts_under_a_class_bound(self, target, parts):
         # the target lists of the benchmark's capped searches at l = sum(d)
-        degrees = DegreeTuple(target)
-        got = list(enumerate_vector_partitions(
-            target, parts, 2, max_classes=2,
-            class_of=lambda part: homology_reduce(part, degrees).coordinates,
-        ))
+        got = list(enumerate_vector_partitions(target, parts, 2, max_classes=2))
         assert len(got) == 4
+
+    def test_no_two_parts_of_a_target_partition_share_a_class(self):
+        # the search bounds the target's classes by distinct parts; on every
+        # target with sum <= 12 and at most 6 components, the nonzero vectors
+        # v <= d' with v != d', which hold every part of a partition of d'
+        # into two or more parts, have pairwise distinct homology classes
+        targets = [d for d in canonical_tuples(12) if len(d) <= 6]
+        assert len(targets) == 226
+        for d in targets:
+            seen = {}
+            for v in itertools.product(*(range(e + 1) for e in d)):
+                if any(v) and v != tuple(d):
+                    key = homology_reduce(v, d).coordinates
+                    assert seen.setdefault(key, v) == v, (d, v, seen[key])
+
+    @pytest.mark.parametrize("target, parts, count", [((3,) * 5, 9, 25), ((4, 4, 4, 4), 8, 109)])
+    def test_listing_bounded_by_distinct_parts_stays_small(self, target, parts, count):
+        # under a bound of 3 distinct parts the walk descends only while two
+        # new parts are allowed and solves for the rest, so it lists few states
+        tracemalloc.start()
+        try:
+            got = sum(1 for _ in enumerate_vector_partitions(
+                target, parts, len(target), max_classes=3
+            ))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == count
+        assert peak < 4 * 2**20
 
     def test_deadline_passed_raises_timeout(self):
         # the call itself stays lazy; the first step of the walk reads the clock
@@ -692,9 +706,7 @@ class TestWitnessSearch:
         assert kinds == [NO] * 5 + [UNKNOWN] * 3 + [NO]
         for parts in (1, 2, 3, 7):
             assert list(enumerate_vector_partitions((5, 4), parts, 2))
-            assert list(enumerate_vector_partitions(
-                (5, 4), parts, 2, max_classes=1, class_of=max
-            ))
+            assert list(enumerate_vector_partitions((5, 4), parts, 2, max_classes=2))
 
     def test_set_up_does_not_grow_with_the_target_sum(self, monkeypatch):
         # the grid of (2, (3, 3), (10**6,)) has 166,665,500,002 cells; a
