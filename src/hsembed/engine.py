@@ -428,27 +428,39 @@ def enumerate_vector_partitions(
     return walk()
 
 
-def _completions(g_sizes: Tuple[int, ...], rooms: Tuple[int, ...], memo: dict) -> int:
-    """Ways to send groups of sizes ``g_sizes`` into classes with room
-    ``rooms`` that fill every class exactly, cached in ``memo`` by the
-    arguments.  Relabelling the classes maps fillings one to one, so the
-    count depends only on the multiset of rooms; callers pass the rooms
-    sorted, and one count serves every order of them."""
+_DEAD = (0, {})  # every node with no completion
+_LEAF = (1, {})  # every node with no group left and every room filled
+
+
+def _completion_node(g_sizes: Tuple[int, ...], rooms: Tuple[int, ...], table: dict) -> tuple:
+    """The node of ``table`` for sending groups of sizes ``g_sizes`` into
+    classes with room ``rooms``, sorted, filling each exactly: ``(count,
+    children)``, where ``children`` maps each room value with a completion
+    to the node left by sending the first group into a class of that room.
+    Relabelling the classes maps fillings one to one, so one node serves
+    every order of the rooms."""
     if not g_sizes:
-        return int(not any(rooms))
-    count = memo.get((g_sizes, rooms))
-    if count is None:
+        return _DEAD if any(rooms) else _LEAF
+    node = table.get((g_sizes, rooms))
+    if node is None:
         size, rest_sizes = g_sizes[0], g_sizes[1:]
-        count = memo[g_sizes, rooms] = sum(
-            _completions(rest_sizes, tuple(sorted(rooms[:h] + (r - size,) + rooms[h + 1:])), memo)
-            for h, r in enumerate(rooms) if r >= size
-        )
-    return count
+        count, children = 0, {}
+        for r in dict.fromkeys(rooms):
+            if r >= size:
+                h = rooms.index(r)
+                child = _completion_node(
+                    rest_sizes, tuple(sorted(rooms[:h] + (r - size,) + rooms[h + 1:])), table
+                )
+                if child[0]:
+                    children[r] = child
+                    count += rooms.count(r) * child[0]
+        node = table[g_sizes, rooms] = (count, children) if count else _DEAD
+    return node
 
 
 def _assignment_blocks(
     g_keys: Sequence, g_sizes: Tuple[int, ...], h_keys: Sequence, left: Tuple[int, ...],
-    feasible: Callable[[tuple], bool], memo: dict,
+    feasible: Callable[[tuple], bool], children: dict,
 ) -> Iterator[Tuple[int, Optional[tuple]]]:
     """Ways to send each source-residue group (key ``g_keys[g]``, size
     ``g_sizes[g]``) wholly into one target-residue class (key ``h_keys[h]``,
@@ -460,33 +472,30 @@ def _assignment_blocks(
     each assignment as ``(1, its (group key, class key) pairs)`` for the
     caller to put to ``feasible``, which it asks of each proper prefix with
     a completion; on a no it yields ``(count, None)`` for the ``count``
-    assignments that extend it unwalked (``_completions``, cached in ``memo``).
+    assignments that extend it unwalked.  ``children`` is the dict of the
+    ``_completion_node`` of ``g_sizes`` and ``left``: the walk tries a class
+    only if its room has an entry there, and descends into that entry's.
     """
     last = len(g_sizes) - 1
-    # a frame: the pairs chosen so far, the room left, the classes still to try
-    stack = [((), left, iter(range(len(left))))]
+    # a frame: the pairs chosen so far, the room left, its classes still to
+    # try, and the children of its node
+    stack = [((), left, enumerate(left), children)]
     while stack:
-        pairs, room, todo = stack[-1]
+        pairs, room, todo, children = stack[-1]
         g = len(pairs)
-        size, rest_sizes = g_sizes[g], g_sizes[g + 1:]
-        for h in todo:
-            if room[h] < size:
-                continue
-            rest = room[:h] + (room[h] - size,) + room[h + 1:]
-            rooms = tuple(sorted(rest))
-            count = memo.get((rest_sizes, rooms))
-            if count is None:
-                count = _completions(rest_sizes, rooms, memo)
-            if not count:
+        for h, r in todo:
+            child = children.get(r)
+            if child is None:
                 continue
             head = pairs + ((g_keys[g], h_keys[h]),)
             if g == last:
                 yield 1, head
             elif feasible(head):
-                stack.append((head, rest, iter(range(len(rest)))))
+                rest = room[:h] + (r - g_sizes[g],) + room[h + 1:]
+                stack.append((head, rest, enumerate(rest), child[1]))
                 break
             else:
-                yield count, None
+                yield child[0], None
         else:
             stack.pop()
 
@@ -562,8 +571,10 @@ def witness_search(
     in lexicographic order (``_assignment_blocks``) asks about the proper
     prefixes it reaches and skips the assignments behind an infeasible one
     unbuilt, counting one call for each, so calls, the cap point and
-    witnesses are those of asking every one in turn.  Prefixes and full
-    assignments reach the oracle through one memo, so none is asked twice.
+    witnesses are those of asking every one in turn.  The counts come from
+    one table of completions per search (``_completion_node``), and a pair
+    whose root node counts no assignment is skipped unwalked.  Prefixes and
+    full assignments reach the oracle through one memo, so none is asked twice.
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
@@ -607,7 +618,8 @@ def witness_search(
     y_memo: Dict[tuple, tuple] = {}
 
     feasible = functools.cache(feasibility.exists)  # the search's one way to the oracle
-    completions: dict = {}  # (group sizes left, multiset of rooms left, sorted) -> count
+    # (group sizes left, rooms left sorted) -> (count of completions, children)
+    completions: dict = {}
     call_cap = budget.call_cap
 
     try:
@@ -615,28 +627,30 @@ def witness_search(
             q_max = (l - n - 1) // s if finite else budget.q_cap
             most = min(l, k + q_max * sd - l)  # no source partition of l has more classes
             # each target partition of l with at most `most` classes, with
-            # its sorted class keys and counts
+            # its sorted class keys, their counts, and those counts sorted
             y_partitions: Optional[list] = None
             for q in range(-(-l // sd), q_max + 1):  # from the least q with q * sd >= l
                 for xs in enumerate_vector_partitions(
                     tuple(q * e for e in d), l, min(n, k), deadline=deadline
                 ):
                     if y_partitions is None:
-                        y_partitions = [
-                            (ys, *_classify(ys, dp, y_memo))
-                            for ys in enumerate_vector_partitions(
-                                tuple(dp), l, len(dp),
-                                max_classes=most, deadline=deadline,
-                            )
-                        ]
+                        y_partitions = []
+                        for ys in enumerate_vector_partitions(
+                            tuple(dp), l, len(dp), max_classes=most, deadline=deadline
+                        ):
+                            h_keys, h_sizes = _classify(ys, dp, y_memo)
+                            y_partitions.append((ys, h_keys, h_sizes, tuple(sorted(h_sizes))))
                     g_keys, g_sizes = _classify(xs, d, x_memo)
-                    for ys, h_keys, h_sizes in y_partitions:
+                    for ys, h_keys, h_sizes, rooms in y_partitions:
                         if len(h_sizes) > len(g_sizes):
+                            continue
+                        ways, children = _completion_node(g_sizes, rooms, completions)
+                        if not ways:
                             continue
                         if deadline is not None:
                             _check_deadline(deadline)
                         for count, pairs in _assignment_blocks(
-                            g_keys, g_sizes, h_keys, h_sizes, feasible, completions
+                            g_keys, g_sizes, h_keys, h_sizes, feasible, children
                         ):
                             calls += count
                             if calls > call_cap:

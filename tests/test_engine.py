@@ -48,7 +48,7 @@ from hsembed import (
     verify_verdict,
     witness_search,
 )
-from hsembed.engine import _assignment_blocks
+from hsembed.engine import _assignment_blocks, _completion_node
 from hsembed.order import _column_fillings
 
 from oracles import _assignments, canonical_tuples, partitions_of_vector, ranked_split_partitions
@@ -567,35 +567,74 @@ class TestWitnessSearch:
 
     def test_completion_counts_are_kept_once_per_multiset_of_rooms(self, monkeypatch):
         # relabelling the classes changes no count of completions, so the
-        # count memo is keyed by the group sizes left and the rooms left
-        # sorted; keyed by the rooms in their order it held 8,617 counts on
-        # (7,7), and [174, 217, 206, 267, 564, 1149] on the other queries
+        # table of completions is keyed by the group sizes left and the
+        # rooms left sorted; keyed by the rooms in their order a count memo
+        # held 8,617 counts on (7,7), and [174, 217, 206, 267, 564, 1149] on
+        # the other queries.  The bounds are the table's measured node
+        # counts, dead nodes included; they exceed the sorted count memo's
+        # [2891, 42, 78, 58, 118, 120, 236] because the search reads each
+        # pair's root node, whose count the memo never held
         import hsembed.engine as engine
 
-        memos = []
-        real = engine._assignment_blocks
+        tables = []
+        real = engine._completion_node
 
         def capturing(*args):
-            memos.append(args[-1])
+            tables.append(args[-1])
             return real(*args)
 
-        monkeypatch.setattr(engine, "_assignment_blocks", capturing)
+        monkeypatch.setattr(engine, "_completion_node", capturing)
         queries = [(query, None) for query in SEARCH_QUERIES]
         queries += [(query, Budget(call_cap=CAPPED_CALL_CAP)) for query in CAPPED_QUERIES]
-        most = [2891, 42, 78, 58, 118, 120, 236]
+        most = [4499, 51, 100, 86, 173, 246, 584]
         for ((n, src, dst), budget), bound in zip(queries, most, strict=True):
-            memos.clear()
+            tables.clear()
             witness_search(n, src, dst, budget)
-            assert memos and all(memo is memos[0] for memo in memos), (n, src, dst)
-            assert len(memos[0]) <= bound, (n, src, dst)
+            assert tables and all(table is tables[0] for table in tables), (n, src, dst)
+            assert len(tables[0]) <= bound, (n, src, dst)
+            assert all(rooms == tuple(sorted(rooms)) for _, rooms in tables[0]), (n, src, dst)
+
+    def test_completion_nodes_match_the_reference(self):
+        # for every pair of group and class sizes summing to at most 7, one
+        # table for all of them as in a search: the root counts the
+        # reference's assignments, each child counts those that send group
+        # 0 into any one class of its room, and no child counts 0
+        table: dict = {}
+        for total in range(1, 8):
+            for g_sizes, h_sizes in itertools.product(_compositions(total), repeat=2):
+                ref = list(_assignments(g_sizes, h_sizes))
+                count, children = _completion_node(g_sizes, tuple(sorted(h_sizes)), table)
+                assert count == len(ref), (g_sizes, h_sizes)
+                assert all(child[0] for child in children.values()), (g_sizes, h_sizes)
+                for h, room in enumerate(h_sizes):
+                    into = sum(1 for f in ref if f[0] == h)
+                    assert children.get(room, (0,))[0] == into, (g_sizes, h_sizes, h)
+
+    def test_search_memory_stays_pinned(self):
+        # tracemalloc peaks of each benchmark search, against bounds about
+        # 1.5 times the peaks measured with the table of completions: 1.53,
+        # 0.12, 0.13, 0.12, 0.11, 1.00 and 0.31 MiB on Python 3.11
+        queries = [(query, None) for query in SEARCH_QUERIES]
+        queries += [(query, Budget(call_cap=CAPPED_CALL_CAP)) for query in CAPPED_QUERIES]
+        bounds_mib = [2.5, 0.25, 0.25, 0.25, 0.25, 1.5, 0.5]
+        for ((n, src, dst), budget), bound in zip(queries, bounds_mib, strict=True):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                witness_search(n, src, dst, budget)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2**20, (n, src, dst, peak)
 
     @pytest.mark.parametrize("total", range(1, 9))
     def test_assignment_blocks_match_the_reference(self, total):
-        # every pair of group and class sizes summing to total, one count
-        # memo for all of them as in a search: with every prefix feasible the
-        # walk yields the reference's assignments one by one, in order; with
-        # some prefixes infeasible, each block is the whole contiguous run of
-        # the reference's assignments that extend the first infeasible prefix
+        # every pair of group and class sizes summing to total, one table of
+        # completions for all of them as in a search: with every prefix
+        # feasible the walk yields the reference's assignments one by one,
+        # in order; with some prefixes infeasible, each block is the whole
+        # contiguous run of the reference's assignments that extend the
+        # first infeasible prefix
         def feasible(pairs):
             return (sum(h for _, h in pairs) + len(pairs)) % 3 != 2
 
@@ -604,12 +643,13 @@ class TestWitnessSearch:
         for g_sizes, h_sizes in itertools.product(_compositions(total), repeat=2):
             g_keys = "abcdefgh"[: len(g_sizes)]  # and each class's key is its index
             ref = [tuple(zip(g_keys, f)) for f in _assignments(g_sizes, h_sizes)]
-            walk = _assignment_blocks(g_keys, g_sizes, range(8), h_sizes, lambda p: True, memo)
+            root = _completion_node(g_sizes, tuple(sorted(h_sizes)), memo)[1]
+            walk = _assignment_blocks(g_keys, g_sizes, range(8), h_sizes, lambda p: True, root)
             assert list(walk) == [(1, pairs) for pairs in ref]
 
             i = 0
             for count, pairs in _assignment_blocks(
-                g_keys, g_sizes, range(8), h_sizes, feasible, memo
+                g_keys, g_sizes, range(8), h_sizes, feasible, root
             ):
                 full = ref[i]
                 cut = next((j for j in range(1, len(full)) if not feasible(full[:j])), None)
