@@ -500,19 +500,13 @@ def _assignment_blocks(
             stack.pop()
 
 
-def _class_key(vector: tuple, degrees: DegreeTuple, memo: dict) -> tuple:
-    """The homology class key of ``vector``; ``memo`` caches keys."""
-    key = memo.get(vector)
-    if key is None:
-        key = memo[vector] = homology_reduce(vector, degrees).coordinates
-    return key
-
-
 def _classify(vectors: Sequence[tuple], degrees: DegreeTuple, memo: dict) -> Tuple[tuple, tuple]:
     """Sorted class keys of one side's vectors and their counts; ``memo`` caches keys."""
     counts: Dict[tuple, int] = {}
     for v in vectors:
-        key = _class_key(v, degrees, memo)
+        key = memo.get(v)
+        if key is None:
+            key = memo[v] = homology_reduce(v, degrees).coordinates
         counts[key] = counts.get(key, 0) + 1
     keys = tuple(sorted(counts))
     return keys, tuple(counts[key] for key in keys)
@@ -562,7 +556,9 @@ def witness_search(
     parts is.  The target partitions left out are exactly ones every
     source partition skips, so the order of the pairs tried, and with it
     calls, bounds and witnesses, is the same as with every target
-    partition listed.  The enumerators get the search's deadline and
+    partition listed.  The list of l holds class signatures only, no
+    vectors: since a class is its part, a FEASIBLE witness reads its target
+    parts from their classes.  The enumerators get the search's deadline and
     raise TimeoutError when it passes, which ends the search with
     BUDGET_EXCEEDED even while a long listing is under way.
 
@@ -626,8 +622,8 @@ def witness_search(
         for l in range(sd, sdp + 1):
             q_max = (l - n - 1) // s if finite else budget.q_cap
             most = min(l, k + q_max * sd - l)  # no source partition of l has more classes
-            # each target partition of l with at most `most` classes, with
-            # its sorted class keys, their counts, and those counts sorted
+            # the signature of each target partition of l with at most `most`
+            # classes: its sorted class keys, their counts, and those counts sorted
             y_partitions: Optional[list] = None
             for q in range(-(-l // sd), q_max + 1):  # from the least q with q * sd >= l
                 for xs in enumerate_vector_partitions(
@@ -639,9 +635,9 @@ def witness_search(
                             tuple(dp), l, len(dp), max_classes=most, deadline=deadline
                         ):
                             h_keys, h_sizes = _classify(ys, dp, y_memo)
-                            y_partitions.append((ys, h_keys, h_sizes, tuple(sorted(h_sizes))))
+                            y_partitions.append((h_keys, h_sizes, tuple(sorted(h_sizes))))
                     g_keys, g_sizes = _classify(xs, d, x_memo)
-                    for ys, h_keys, h_sizes, rooms in y_partitions:
+                    for h_keys, h_sizes, rooms in y_partitions:
                         if len(h_sizes) > len(g_sizes):
                             continue
                         ways, children = _completion_node(g_sizes, rooms, completions)
@@ -659,12 +655,10 @@ def witness_search(
                             if pairs is None or not feasible(pairs):
                                 continue
                             mat = hom_exists(d, dp, pairs)  # not None: the pairs are feasible
-                            image, unpaired, ys_aligned = dict(pairs), list(ys), []
-                            for x in xs:  # the first unpaired y of x's image class
-                                y = next(y for y in unpaired if y_memo[y] == image[x_memo[x]])
-                                unpaired.remove(y)
-                                ys_aligned.append(y)
-                            witness = FeasibilityWitness(n, d, dp, l, q, xs, ys_aligned, mat)
+                            image = dict(pairs)
+                            part = {key: y for y, key in y_memo.items()}  # a class is its part
+                            ys = [part[image[x_memo[x]]] for x in xs]
+                            witness = FeasibilityWitness(n, d, dp, l, q, xs, ys, mat)
                             return finish(FEASIBLE, witness)
     except TimeoutError:
         return finish(BUDGET_EXCEEDED)

@@ -13,9 +13,12 @@ In a second run, not timed because a row has taken over 2 s under
 ``tracemalloc``, the ``tracemalloc`` peak of ``decide`` must stay under
 ``peak_mib`` MiB.  Each row's search stops at its deadline partway
 through a long list of parts, so the peak grows with the speed of the
-host: the rows peaked at 22-41 MiB on a 2-core x86-64 host under Python
-3.11, and the bound leaves about twice that for faster ones.  The whole
-list of parts of (1001, 999) alone peaks at about 190 MB.
+host: the large-entry rows (1001, 999), (3001, 2999) and (10**6,) peaked
+at 22-41 MiB on a 2-core x86-64 host under Python 3.11, and their bound
+leaves about twice that for faster ones.  The whole list of parts of
+(1001, 999) alone peaks at about 190 MB.  The other rows peaked at
+2.3-4.0 MiB there, and at 8.5-13.3 MiB when given 2 s instead of 0.5 s,
+so their bound of 32 MiB covers a host several times faster.
 """
 
 import json
