@@ -282,9 +282,9 @@ def enumerate_vector_partitions(
     of ``time.monotonic()``, the generator raises TimeoutError once the
     clock has passed it.  It reads the clock before each run of last
     coordinates a listing's descent lists and every ``_CHUNK`` parts within
-    one, at every step of its walk and before each closed-form tail, so
-    neither a long listing nor a walk that cuts much and yields little runs
-    past it.
+    one, at every step of its walk and before each closed-form tail it
+    solves, so neither a long listing nor a walk that cuts much and yields
+    little runs past it.
 
     Method: a memoized walk over sub-split states, with no global list of
     parts.  A state is what is left, the number of parts left, and the
@@ -305,8 +305,10 @@ def enumerate_vector_partitions(
     new part allowed, or one, the p parts left are not walked but solved
     for (``_tails``): p copies of w, then i copies of w and p - i of one
     smaller part, for i from p - 1 down to 0, which is their descending
-    order.  Otherwise, with two parts left, it yields the parts chosen so
-    far plus the pair, so each multiset is built once.  A state below which
+    order.  Many prefixes reach one (w, what it leaves) pair, so its tails
+    are solved once per listing and read back after.  Otherwise, with two
+    parts left, it yields the parts chosen so far plus the pair, so each
+    multiset is built once.  A state below which
     nothing was yielded, cut or solved for, as one running count of all
     three tells, is stored as an empty list and not walked again: the bound
     depends on the parts taken before the state, the state's parts do not.
@@ -388,6 +390,8 @@ def enumerate_vector_partitions(
             memo[state] = found
             return found
 
+        # (part, what it leaves, parts left, one new part allowed) -> its tails
+        tails: Dict[Tuple[Tuple[int, ...], Tuple[int, ...], int, bool], tuple] = {}
         top = (tgt, parts, tgt)  # every admissible part is at most tgt
         settled = 0  # multisets yielded, parts cut by the bound, and tails solved for
         # a frame: the parts chosen so far, its state, the fitting parts of
@@ -403,10 +407,16 @@ def enumerate_vector_partitions(
                 if bounded and now >= max_classes - 1:  # at most one new part after w
                     settled += 1
                     if now <= max_classes:
-                        if deadline is not None:
-                            _check_deadline(deadline)
+                        key = (w, rest, nparts, now < max_classes)
+                        solved = tails.get(key)
+                        if solved is None:
+                            if deadline is not None:
+                                _check_deadline(deadline)
+                            solved = tails[key] = tuple(
+                                _tails(w, rest, nparts - 1, max_support, key[3])
+                            )
                         head = prefix + (w,)
-                        for tail in _tails(w, rest, nparts - 1, max_support, now < max_classes):
+                        for tail in solved:
                             yield head + tail
                     continue
                 if nparts == 2:
@@ -569,8 +579,14 @@ def witness_search(
     unbuilt, counting one call for each, so calls, the cap point and
     witnesses are those of asking every one in turn.  The counts come from
     one table of completions per search (``_completion_node``), and a pair
-    whose root node counts no assignment is skipped unwalked.  Prefixes and
-    full assignments reach the oracle through one memo, so none is asked twice.
+    whose root node counts no assignment is skipped unwalked.  A root node
+    depends only on the source group sizes and the target's shape, its
+    class counts sorted, so each target partition of l carries its shape's
+    index, in first-seen order, and per l a row per source group sizes
+    holds a slot per shape, filled when first read: with the node, or dead
+    for a shape with more classes than groups.  Filled eagerly, a row would
+    build nodes no walk reaches.  Prefixes and full assignments reach the
+    oracle through one memo, so none is asked twice.
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
@@ -623,24 +639,38 @@ def witness_search(
             q_max = (l - n - 1) // s if finite else budget.q_cap
             most = min(l, k + q_max * sd - l)  # no source partition of l has more classes
             # the signature of each target partition of l with at most `most`
-            # classes: its sorted class keys, their counts, and those counts sorted
+            # classes: its sorted class keys, their counts, and its shape, the
+            # index in `shapes` of those counts sorted, in first-seen order
             y_partitions: Optional[list] = None
+            # source group sizes -> each shape's completion node, filled when first read
+            rows: Dict[Tuple[int, ...], list] = {}
             for q in range(-(-l // sd), q_max + 1):  # from the least q with q * sd >= l
                 for xs in enumerate_vector_partitions(
                     tuple(q * e for e in d), l, min(n, k), deadline=deadline
                 ):
                     if y_partitions is None:
                         y_partitions = []
+                        index: Dict[Tuple[int, ...], int] = {}
                         for ys in enumerate_vector_partitions(
                             tuple(dp), l, len(dp), max_classes=most, deadline=deadline
                         ):
                             h_keys, h_sizes = _classify(ys, dp, y_memo)
-                            y_partitions.append((h_keys, h_sizes, tuple(sorted(h_sizes))))
+                            shape = index.setdefault(tuple(sorted(h_sizes)), len(index))
+                            y_partitions.append((h_keys, h_sizes, shape))
+                        shapes = list(index)
                     g_keys, g_sizes = _classify(xs, d, x_memo)
-                    for h_keys, h_sizes, rooms in y_partitions:
-                        if len(h_sizes) > len(g_sizes):
-                            continue
-                        ways, children = _completion_node(g_sizes, rooms, completions)
+                    row = rows.get(g_sizes)
+                    if row is None:
+                        row = rows[g_sizes] = [None] * len(shapes)
+                    for h_keys, h_sizes, shape in y_partitions:
+                        node = row[shape]
+                        if node is None:  # filled when first read, so no unreached node is built
+                            rooms = shapes[shape]
+                            node = row[shape] = (
+                                _DEAD if len(rooms) > len(g_sizes)
+                                else _completion_node(g_sizes, rooms, completions)
+                            )
+                        ways, children = node
                         if not ways:
                             continue
                         if deadline is not None:

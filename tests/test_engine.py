@@ -342,6 +342,25 @@ class TestVectorPartitions:
         assert got == count
         assert peak < 4 * 2**20
 
+    def test_each_tail_is_solved_once_per_listing(self, monkeypatch):
+        # many prefixes reach one (part, what it leaves) pair: (9,9) into 10
+        # parts with at most 6 distinct reaches 73 distinct tails 1,100 times,
+        # and each is solved once and read back, in the unbounded order
+        import hsembed.engine as engine
+
+        solved = []
+        real = engine._tails
+
+        def spying(*args):
+            solved.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_tails", spying)
+        got = list(enumerate_vector_partitions((9, 9), 10, 2, max_classes=6))
+        assert len(solved) == len(set(solved)) == 73
+        full = enumerate_vector_partitions((9, 9), 10, 2)
+        assert got == [p for p in full if len(set(p)) <= 6]
+
     def test_deadline_passed_raises_timeout(self):
         # the call itself stays lazy; the first step of the walk reads the clock
         got = enumerate_vector_partitions((2, 1), 2, 2, deadline=time.monotonic() - 1)
