@@ -6,6 +6,12 @@ constructive partial order), ``spectrum`` (Reeb orbit class tables), and
 Each ``poset`` cover is one combine or duplicate move, so its Liouville and
 Weinstein label is YES by construction; symplectic labels come from ``decide``.
 
+Each subcommand loads only the layers it runs: ``leqq`` and a Liouville or
+Weinstein ``poset`` load ``model`` and ``order``, ``spectrum`` adds
+``indices``, and ``decide`` and the symplectic ``poset`` labels load the
+search through this module's ``decide``, which imports the engine on first
+call.
+
 Output contract: stdout carries either deterministic JSON (sorted keys,
 two-space indent, no volatile fields — byte-stable across runs for equal
 inputs) or a short human rendering with ``--human``, except that
@@ -30,12 +36,12 @@ import os
 import stat
 import sys
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__, order
-from .engine import LIOUVILLE, MODES, SYMPLECTIC, Budget, decide, enumerate_vector_partitions
-from .indices import orbit_spectrum
-from .model import NO, UNKNOWN, YES, DegreeTuple, _jsonify, _require_int
+from .model import (
+    LIOUVILLE, MODES, NO, SYMPLECTIC, UNKNOWN, YES, DegreeTuple, _jsonify, _require_int,
+)
 from .order import leqq
 
 SCHEMA_VERSION = 2
@@ -88,7 +94,13 @@ def _int_at_least(minimum: int) -> Callable:
 
 def _cap(name: str, parse: Callable[[str], object]) -> Callable:
     """Argument type: the ``Budget`` field ``name``, by ``Budget``'s rule."""
-    return _checked(parse, lambda value: getattr(Budget(**{name: value}), name))
+
+    def check(value: object) -> object:
+        from .engine import Budget
+
+        return getattr(Budget(**{name: value}), name)
+
+    return _checked(parse, check)
 
 
 def build_parser() -> _Parser:
@@ -150,7 +162,18 @@ def _record(command: str, inputs: dict, payload: dict) -> dict:
     return rec
 
 
+def decide(*args, **kwargs):
+    """Forward to :func:`hsembed.engine.decide`, importing the engine on the
+    first call.  A function of this module, so a tracer or a test can
+    replace it here without importing the search."""
+    from . import engine
+
+    return engine.decide(*args, **kwargs)
+
+
 def cmd_decide(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
+    from .engine import Budget
+
     caps = {name: getattr(args, name) for name in ("q_cap", "call_cap", "time_cap")}
     budget = Budget(**{name: cap for name, cap in caps.items() if cap is not None})
     verdict = decide(args.n, args.source, args.target, args.mode, budget, args.threads)
@@ -200,6 +223,8 @@ def cmd_leqq(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
+    from .indices import orbit_spectrum
+
     classes = orbit_spectrum(args.n, args.degrees, args.action_cap)
     inputs = {"n": args.n, "degrees": list(args.degrees), "action_cap": args.action_cap}
     record = _record("spectrum", inputs, {"classes": [oc.to_json() for oc in classes]})
@@ -210,6 +235,16 @@ def cmd_spectrum(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
             f"morse={oc.morse_index} cz={oc.cz} homology={oc.homology.coordinates}"
         )
     return record, lines, EXIT_YES
+
+
+def _partitions(total: int, most: int) -> Iterator[Tuple[int, ...]]:
+    """The partitions of ``total`` into parts of at most ``most``, each in
+    non-increasing order."""
+    if total == 0:
+        yield ()
+    for part in range(min(total, most), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part, *rest)
 
 
 def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
@@ -227,10 +262,9 @@ def cmd_poset(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     # YES from its move; symplectic labels vary and come from decide.
     n = args.n
     nodes = [
-        DegreeTuple(e for (e,) in parts)
+        DegreeTuple(parts)
         for total in range(n + 1, args.max_sum + 1)
-        for k in range(1, total + 1)
-        for parts in enumerate_vector_partitions((total,), k, 1)
+        for parts in _partitions(total, total)
     ]
     nodes.sort(key=lambda d: (d.total(), d))
     position = {d: i for i, d in enumerate(nodes)}

@@ -44,15 +44,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .indices import f_invariant
 from .lattice import HomFeasibility, IntMatrix, hom_exists
 from .model import (
-    NO, UNKNOWN, YES, DegreeTuple, Verdict, _frozen_record, _is_int, _JsonFields, _require_int,
-    _require_ints, homology_reduce,
+    LIOUVILLE, MODES, NO, SYMPLECTIC, UNKNOWN, WEINSTEIN, YES, DegreeTuple, Verdict,
+    _frozen_record, _is_int, _JsonFields, _require_int, _require_ints, homology_reduce,
 )
 from .order import MoveSequence, leqq, leqq_decomposition
-
-LIOUVILLE = "liouville"
-WEINSTEIN = "weinstein"
-SYMPLECTIC = "symplectic"
-MODES = (LIOUVILLE, WEINSTEIN, SYMPLECTIC)
 
 # Certificate rules for NO verdicts.
 SUM_DROP = "SUM_DROP"
@@ -718,10 +713,11 @@ def _certificates(
     2 * sum(d) - n - 1).  In symplectic mode the gcd rule holds for any source.
 
     ``related`` is None for the quick rung alone (``quick_checks``), which
-    leaves out the window rule and the symplectic gcd rule.  Otherwise it
-    is the order's answer ``leqq(d, dp)[0]``: ``decide`` passes False once
-    the order gave no YES (no symplectic rule reads it), and a replay
-    passes what the order answers.
+    leaves out the window rule and the symplectic gcd rule.  Otherwise the
+    window rule reads it as the order's answer ``leqq(d, dp)[0]``, and the
+    symplectic gcd rule only needs it not None: ``decide`` passes False
+    once the order gave no YES, and a replay asks the order only for a
+    window-rule certificate and passes True for any other.
     """
     fs, ft = f_invariant(n, d), f_invariant(n, dp)
     if ft % fs:
@@ -892,19 +888,21 @@ def replay_certificate(cert: Certificate) -> bool:
     only if one of them equals ``cert`` as JSON, rule, data and search
     bounds alike.  So a changed data field fails, and so does a rule stored
     under a mode it does not hold in.  The closed-form rules come from the
-    one definition in ``_certificates``.  WITNESS_INFEASIBLE holds only in
-    Liouville and Weinstein mode; it re-runs the whole search under the
-    recorded ``q_cap`` and ``call_cap``, but not ``time_cap``, because
-    exhausting the grid does not depend on time.  A certificate whose data
-    does not name a valid query, or a budget where the rule needs one, does
-    not stand.
+    one definition in ``_certificates``; only the window rule's replay
+    asks the order.  WITNESS_INFEASIBLE holds only in Liouville and
+    Weinstein mode; it re-runs the whole search under the recorded
+    ``q_cap`` and ``call_cap``, but not ``time_cap``, because exhausting
+    the grid does not depend on time.  A certificate whose data does not
+    name a valid query, or a budget where the rule needs one, does not
+    stand.
     """
     query = _stored_query(cert)
     if query is None:
         return False
     n, d, dp, mode = query
     if cert.rule != WITNESS_INFEASIBLE:
-        derived = list(_certificates(n, d, dp, mode, leqq_decomposition(d, dp) is not None))
+        related = cert.rule != DEGREE_HYP_NOT_LEQQ or leqq_decomposition(d, dp) is not None
+        derived = list(_certificates(n, d, dp, mode, related))
     elif mode == SYMPLECTIC:
         return False
     else:

@@ -243,6 +243,12 @@ YES = "YES"
 NO = "NO"
 UNKNOWN = "UNKNOWN"
 
+# Embedding modes a query asks about.
+LIOUVILLE = "liouville"
+WEINSTEIN = "weinstein"
+SYMPLECTIC = "symplectic"
+MODES = (LIOUVILLE, WEINSTEIN, SYMPLECTIC)
+
 
 @_frozen_record
 class Verdict(_SparseJsonFields):

@@ -15,6 +15,8 @@ from hsembed import DegreeTuple, cli, decide, leqq_decomposition
 from hsembed.engine import LIOUVILLE, MODES, SYMPLECTIC, WEINSTEIN
 from hsembed.order import MoveSequence, _successor_moves
 
+from oracles import canonical_tuples
+
 EXE = [sys.executable, "-m", "hsembed.cli"]
 
 
@@ -37,6 +39,44 @@ def test_cli_import_skips_dataclasses_and_inspect():
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"
+
+
+ORDER_MODULES = ["hsembed", "hsembed.cli", "hsembed.model", "hsembed.order"]
+ALL_MODULES = sorted(ORDER_MODULES + ["hsembed.engine", "hsembed.indices", "hsembed.lattice"])
+
+
+@pytest.mark.parametrize(
+    "args, modules",
+    [
+        (["poset", "--n", "2", "--max-sum", "5"], ORDER_MODULES),
+        (["leqq", "--source", "3,2,2", "--target", "7,2"], ORDER_MODULES),
+        (
+            ["spectrum", "--n", "2", "--degrees", "3,2", "--action-cap", "4"],
+            sorted(ORDER_MODULES + ["hsembed.indices"]),
+        ),
+        (["poset", "--n", "2", "--max-sum", "5", "--mode", "symplectic"], ALL_MODULES),
+        (["decide", "--n", "2", "--source", "3", "--target", "4,2"], ALL_MODULES),
+    ],
+    ids=["poset", "leqq", "spectrum", "poset-symplectic", "decide"],
+)
+def test_each_subcommand_loads_only_its_own_modules(args, modules):
+    # only decide and the symplectic poset labels need the search; compare
+    # sys.modules before and after, as above
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import hsembed.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    hsembed.cli.main(sys.argv[1:])\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('hsembed')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    r = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == f"{modules}\n"
 
 
 class TestDecideCommand:
@@ -276,6 +316,11 @@ class TestPosetOrder:
     """``poset`` in process: the order it builds and the DOT it prints."""
 
     BASELINE = Path(__file__).resolve().parent.parent / "perfbench" / "baseline.json"
+
+    def test_nodes_are_the_integer_partitions(self):
+        for total in range(1, 16):
+            got = [DegreeTuple(p) for p in cli._partitions(total, total)]
+            assert got == sorted(canonical_tuples(total, total), reverse=True), total
 
     def test_closure_matches_decomposition(self, tmp_path):
         out = tmp_path / "poset.json"

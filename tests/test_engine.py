@@ -136,7 +136,7 @@ class TestVectorPartitions:
             )
 
     def test_one_coordinate_gives_the_integer_partitions(self):
-        # cli's poset builds its nodes this way: one call per part count
+        # one coordinate into k parts, over every k, lists each integer partition once
         for total in range(1, 16):
             got = [
                 DegreeTuple(e for (e,) in parts)
@@ -430,6 +430,45 @@ class TestQuickChecks:
             value = cert.data[field]
             changed = not value if isinstance(value, bool) else value + 1
             tampered = Certificate(rule, {**cert.data, field: changed}, cert.search_bounds)
+            assert not replay_certificate(tampered), tampered
+
+    def test_replay_asks_the_order_only_for_the_window_rule(self, monkeypatch):
+        # every closed-form certificate of every query with n = 1..3 and
+        # sums <= 8 replays, and only the window rule's replay asks the
+        # order; one data field changed still fails
+        import hsembed.engine as engine
+
+        tuples = canonical_tuples(8)
+        orders = {pair: leqq_decomposition(*pair) for pair in itertools.product(tuples, repeat=2)}
+        certs = [
+            cert
+            for n in (1, 2, 3)
+            for (src, dst), z in orders.items()
+            for mode in (LIOUVILLE, WEINSTEIN, SYMPLECTIC)
+            for cert in engine._certificates(n, src, dst, mode, z is not None)
+        ]
+        asked = []
+
+        def spying(d, dp):
+            asked.append((d, dp))
+            return orders[d, dp]
+
+        monkeypatch.setattr(engine, "leqq_decomposition", spying)
+        assert all(replay_certificate(cert) for cert in certs)
+        assert asked == [
+            (DegreeTuple(c.data["source"]), DegreeTuple(c.data["target"]))
+            for c in certs
+            if c.rule == DEGREE_HYP_NOT_LEQQ
+        ]
+        first = {}  # the first certificate of each rule and mode
+        for cert in certs:
+            first.setdefault((cert.rule, cert.data["mode"]), cert)
+        assert len(first) == 12  # every rule in every mode it holds in
+        for cert in first.values():
+            field = list(cert.data)[4]  # the rule's first field after the query
+            value = cert.data[field]
+            changed = not value if isinstance(value, bool) else value + 1
+            tampered = Certificate(cert.rule, {**cert.data, field: changed})
             assert not replay_certificate(tampered), tampered
 
     @pytest.mark.parametrize(
