@@ -3,8 +3,8 @@
 The package decides, with replayable evidence, whether the complement
 attached to one degree tuple embeds into the complement attached to another:
 
-* :mod:`hsembed.model` — degree tuples, first homology, verdict values and
-  embedding modes;
+* :mod:`hsembed.model` — degree tuples, first homology, the gcd threshold
+  ``f_invariant``, verdict values and embedding modes;
 * :mod:`hsembed.lattice` — exact integer linear algebra (Smith normal form,
   linear Diophantine systems, homology-compatible matrix search);
 * :mod:`hsembed.order` — the constructive partial order generated by
@@ -36,7 +36,7 @@ _EXPORTS = {
         """),
         ("indices", """
             FormalCurveSpec InadmissibleOrbit InconsistentHomology OrbitClass curve_index
-            cz_index cz_index_anticanonical f_invariant fredholm_index gw_anchor orbit_spectrum
+            cz_index cz_index_anticanonical fredholm_index gw_anchor orbit_spectrum
         """),
         ("lattice", """
             DimensionMismatch IntMatrix SnfDecomposition hom_exists smith_normal_form
@@ -44,7 +44,7 @@ _EXPORTS = {
         """),
         ("model", """
             DegreeTuple EmptyInput HomologyElement LIOUVILLE LengthMismatch MODES NO
-            NonPositiveEntry SYMPLECTIC UNKNOWN Verdict WEINSTEIN YES homology_reduce
+            NonPositiveEntry SYMPLECTIC UNKNOWN Verdict WEINSTEIN YES f_invariant homology_reduce
         """),
         ("order", """
             COMBINE DUPLICATE DecompositionWitness InvalidMove InvalidSurface Move

@@ -7,10 +7,12 @@ Each ``poset`` cover is one combine or duplicate move, so its Liouville and
 Weinstein label is YES by construction; symplectic labels come from ``decide``.
 
 Each subcommand loads only the layers it runs: ``leqq`` and a Liouville or
-Weinstein ``poset`` load ``model`` and ``order``, ``spectrum`` adds
-``indices``, and ``decide`` and the symplectic ``poset`` labels load the
-search through this module's ``decide``, which imports the engine on first
-call.
+Weinstein ``poset`` load ``model`` and ``order``, and ``spectrum`` adds
+``indices``.  ``decide`` and the symplectic ``poset`` labels add ``engine``
+through this module's ``decide``, which imports it on first call; the
+engine imports ``lattice`` only when a query reaches the witness search, so
+an answer from a quick rule or from the order loads neither ``lattice``
+nor ``indices``.  ``json`` is imported only to write a JSON record.
 
 Output contract: stdout carries either deterministic JSON (sorted keys,
 two-space indent, no volatile fields — byte-stable across runs for equal
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import stat
 import sys
@@ -148,6 +149,8 @@ def build_parser() -> _Parser:
 
 
 def _dump(record: dict) -> str:
+    import json  # on use: poset prints DOT and dumps a record only for --out
+
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
@@ -195,6 +198,8 @@ def cmd_decide(args: argparse.Namespace) -> Tuple[dict, List[str], int]:
     )
     lines = [f"verdict: {verdict.kind} ({args.mode})"]
     if verdict.kind == YES:
+        import json
+
         lines.append(f"witness: {json.dumps(_jsonify(verdict.witness), sort_keys=True)}")
     elif verdict.kind == NO:
         lines.append(f"certificate: {verdict.certificate.rule}")

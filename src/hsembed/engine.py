@@ -39,15 +39,17 @@ import json
 import math
 import sys
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .indices import f_invariant
-from .lattice import HomFeasibility, IntMatrix, hom_exists
 from .model import (
     LIOUVILLE, MODES, NO, SYMPLECTIC, UNKNOWN, WEINSTEIN, YES, DegreeTuple, Verdict,
-    _frozen_record, _is_int, _JsonFields, _require_int, _require_ints, homology_reduce,
+    _frozen_record, _is_int, _JsonFields, _require_int, _require_ints, f_invariant,
+    homology_reduce,
 )
 from .order import MoveSequence, leqq, leqq_decomposition
+
+if TYPE_CHECKING:  # the search imports lattice when it runs; a quick rule never does
+    from .lattice import IntMatrix
 
 # Certificate rules for NO verdicts.
 SUM_DROP = "SUM_DROP"
@@ -130,6 +132,8 @@ class FeasibilityWitness(_JsonFields):
     matrix: IntMatrix
 
     def __post_init__(self) -> None:
+        from .lattice import IntMatrix
+
         object.__setattr__(self, "source", DegreeTuple(self.source))
         object.__setattr__(self, "target", DegreeTuple(self.target))
         object.__setattr__(self, "xs", tuple(_require_ints(v, "source vector") for v in self.xs))
@@ -517,6 +521,20 @@ def _classify(vectors: Sequence[tuple], degrees: DegreeTuple, memo: dict) -> Tup
     return keys, tuple(counts[key] for key in keys)
 
 
+def hom_exists(
+    degrees: Sequence[int],
+    target_degrees: Sequence[int],
+    pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
+) -> Optional[IntMatrix]:
+    """Forward to :func:`hsembed.lattice.hom_exists`, importing ``lattice``
+    on the first call.  A function of this module, so a tracer or a test
+    can replace it here; a FEASIBLE search calls it once, for its witness's
+    matrix."""
+    from . import lattice
+
+    return lattice.hom_exists(degrees, target_degrees, pairs)
+
+
 def witness_search(
     n: int,
     source: Sequence[int],
@@ -619,6 +637,8 @@ def witness_search(
         bounds["calls_used"] = calls
         bounds["exhausted"] = status == INFEASIBLE
         return SearchOutcome(status, witness, bounds, calls)
+
+    from .lattice import HomFeasibility
 
     feasibility = HomFeasibility(d, dp)
     x_memo: Dict[tuple, tuple] = {}  # each side's class key of every vector seen

@@ -18,16 +18,20 @@ the formal punctured curves the obstruction engine reasons about:
 
 All of it is elementary integer arithmetic; the value of the module is that
 the conventions are pinned down in one place and validated.
+
+``f_invariant``, the gcd threshold of the cylinder-type obstruction, reads
+only n and the degrees.  It is defined in :mod:`hsembed.model`, so that the
+engine's quick rules do not load this module, and re-exported here.
 """
 
 from __future__ import annotations
 
-from math import factorial, gcd
+from math import factorial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .model import (
     DegreeTuple, HomologyElement, LengthMismatch, _frozen_record, _is_int, _JsonFields,
-    _require_int, _require_ints, homology_reduce,
+    _require_int, _require_ints, f_invariant, homology_reduce,
 )
 
 MIN_MORSE_INDEX = 0
@@ -293,20 +297,6 @@ def curve_index(spec: FormalCurveSpec) -> int:
         chern_term=spec.q * (spec.n + 1),
         tangency_order=spec.tangency_order,
     )
-
-
-def f_invariant(n: int, degrees: Sequence[int]) -> int:
-    """First-vanishing threshold of the cylinder-type obstruction.
-
-    Equals gcd(d) / gcd(gcd(d), n + 1): the smallest positive i such that
-    i * (n + 1) is a multiple of gcd(d), i.e. such that a degree-divisible
-    cap can kill the relevant unit.  Monotone under the partial order, so
-    non-divisibility of targets' values by sources' is a NO certificate
-    (valid in all modes, including almost-symplectic ones).
-    """
-    _require_int(n, "complex dimension")
-    g = DegreeTuple(degrees).gcd()
-    return g // gcd(g, n + 1)
 
 
 def gw_anchor(n: int) -> int:

@@ -14,6 +14,10 @@ Conventions fixed here and relied on everywhere downstream:
   same arrangement iff they compare equal);
 * homology classes are integer vectors modulo Z*(d_1, ..., d_k), reduced to
   the unique representative whose last coordinate lies in [0, d_k).
+
+``f_invariant``, the gcd threshold behind the GCD_SINGLE rule, is defined
+here because it reads only n and the degrees, so the engine's quick rules
+load no other module for it; :mod:`hsembed.indices` re-exports it.
 """
 
 from __future__ import annotations
@@ -236,6 +240,23 @@ def homology_reduce(vector: Sequence[int], degrees: Iterable[int]) -> HomologyEl
     (2, 0, 0)
     """
     return HomologyElement(tuple(vector), DegreeTuple(degrees))
+
+
+def f_invariant(n: int, degrees: Sequence[int]) -> int:
+    """First-vanishing threshold of the cylinder-type obstruction.
+
+    Equals gcd(d) / gcd(gcd(d), n + 1): the smallest positive i such that
+    i * (n + 1) is a multiple of gcd(d), i.e. such that a degree-divisible
+    cap can kill the relevant unit.  Monotone under the partial order, so
+    non-divisibility of targets' values by sources' is a NO certificate
+    (valid in all modes, including almost-symplectic ones).
+
+    >>> f_invariant(2, (6, 4))
+    2
+    """
+    _require_int(n, "complex dimension")
+    g = DegreeTuple(degrees).gcd()
+    return g // math.gcd(g, n + 1)
 
 
 # Verdict kinds for the decision engine.

@@ -42,7 +42,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
 
 
 ORDER_MODULES = ["hsembed", "hsembed.cli", "hsembed.model", "hsembed.order"]
-ALL_MODULES = sorted(ORDER_MODULES + ["hsembed.engine", "hsembed.indices", "hsembed.lattice"])
+ENGINE_MODULES = sorted(ORDER_MODULES + ["hsembed.engine"])
 
 
 @pytest.mark.parametrize(
@@ -54,21 +54,31 @@ ALL_MODULES = sorted(ORDER_MODULES + ["hsembed.engine", "hsembed.indices", "hsem
             ["spectrum", "--n", "2", "--degrees", "3,2", "--action-cap", "4"],
             sorted(ORDER_MODULES + ["hsembed.indices"]),
         ),
-        (["poset", "--n", "2", "--max-sum", "5", "--mode", "symplectic"], ALL_MODULES),
-        (["decide", "--n", "2", "--source", "3", "--target", "4,2"], ALL_MODULES),
+        (["poset", "--n", "2", "--max-sum", "5", "--mode", "symplectic"], ENGINE_MODULES),
+        (["decide", "--n", "2", "--source", "3", "--target", "4,2"], ENGINE_MODULES),
+        (["decide", "--n", "2", "--source", "3,2,2", "--target", "7,2"], ENGINE_MODULES),
+        (
+            ["decide", "--n", "2", "--source", "3,3", "--target", "5,5"],
+            sorted(ENGINE_MODULES + ["hsembed.lattice"]),
+        ),
     ],
-    ids=["poset", "leqq", "spectrum", "poset-symplectic", "decide"],
+    ids=["poset", "leqq", "spectrum", "poset-symplectic", "decide", "decide-order",
+         "decide-search"],
 )
 def test_each_subcommand_loads_only_its_own_modules(args, modules):
-    # only decide and the symplectic poset labels need the search; compare
-    # sys.modules before and after, as above
+    # only a query that reaches the witness search loads lattice, and only
+    # decide and the symplectic poset labels load the engine; compare
+    # sys.modules before and after, as above.  The DOT-only poset writes no
+    # JSON, so it does not load json either.
     script = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "import hsembed.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    hsembed.cli.main(sys.argv[1:])\n"
-        "print(sorted(m for m in set(sys.modules) - before if m.startswith('hsembed')))\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(m for m in new if m.startswith('hsembed')))\n"
+        "print('json' in new)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -76,7 +86,10 @@ def test_each_subcommand_loads_only_its_own_modules(args, modules):
         [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout == f"{modules}\n"
+    loaded, json_loaded = r.stdout.splitlines()
+    assert loaded == f"{modules}"
+    if args[0] == "poset" and "symplectic" not in args:
+        assert json_loaded == "False"
 
 
 class TestDecideCommand:

@@ -502,6 +502,27 @@ class TestWitnessSearch:
         assert out.status == "FEASIBLE"
         assert check_feasibility_witness(out.witness) == []
 
+    def test_engine_names_the_tracer_wraps(self, monkeypatch):
+        # f_invariant is defined once, in model; the engine's hom_exists is a
+        # forwarder a tracer can wrap, and a FEASIBLE search calls it once
+        import hsembed.engine as engine
+        import hsembed.indices as indices
+        import hsembed.model as model
+
+        assert indices.f_invariant is model.f_invariant is engine.f_invariant
+        calls = []
+        forward = engine.hom_exists
+
+        def counting(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(engine, "hom_exists", counting)
+        out = witness_search(2, (2, 2), (4, 3))
+        assert out.status == "FEASIBLE"
+        assert len(calls) == 1
+        assert check_feasibility_witness(out.witness) == []
+
     def test_window_infeasible(self):
         out = witness_search(2, (3, 2), (4, 1))
         assert out.status == "INFEASIBLE"
