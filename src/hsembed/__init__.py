@@ -11,6 +11,8 @@ attached to one degree tuple embeds into the complement attached to another:
   combining and duplicating components, plus the surface analogue;
 * :mod:`hsembed.indices` — Reeb orbit classes, Conley–Zehnder and Fredholm
   index formulas, and the derived numeric invariants;
+* :mod:`hsembed.search` — the witness search's building blocks: the vector
+  partition enumerator, the assignment walk, and the witness it returns;
 * :mod:`hsembed.engine` — quick obstruction rules, the certified witness
   search, and the top-level :func:`decide` ladder;
 * :mod:`hsembed.cli` — the ``hsembed`` command.
@@ -29,9 +31,8 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("engine", """
-            Budget Certificate DEGREE_HYP_NOT_LEQQ FN_ALMOST_SYMPLECTIC FeasibilityWitness
-            GCD_SINGLE HYPERPLANE_TARGET HypothesisViolated SUM_DROP SearchOutcome
-            WITNESS_INFEASIBLE check_feasibility_witness decide enumerate_vector_partitions
+            Budget Certificate DEGREE_HYP_NOT_LEQQ FN_ALMOST_SYMPLECTIC GCD_SINGLE
+            HYPERPLANE_TARGET HypothesisViolated SUM_DROP WITNESS_INFEASIBLE decide
             quick_checks replay_certificate verify_verdict witness_search
         """),
         ("indices", """
@@ -49,6 +50,10 @@ _EXPORTS = {
         ("order", """
             COMBINE DUPLICATE DecompositionWitness InvalidMove InvalidSurface Move
             MoveSequence leqq leqq_bfs leqq_decomposition surface_embeds
+        """),
+        ("search", """
+            FeasibilityWitness SearchOutcome check_feasibility_witness
+            enumerate_vector_partitions
         """),
     )
     for name in names.split()

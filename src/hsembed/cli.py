@@ -10,9 +10,10 @@ Each subcommand loads only the layers it runs: ``leqq`` and a Liouville or
 Weinstein ``poset`` load ``model`` and ``order``, and ``spectrum`` adds
 ``indices``.  ``decide`` and the symplectic ``poset`` labels add ``engine``
 through this module's ``decide``, which imports it on first call; the
-engine imports ``lattice`` only when a query reaches the witness search, so
-an answer from a quick rule or from the order loads neither ``lattice``
-nor ``indices``.  ``json`` is imported only to write a JSON record.
+engine imports ``search`` and ``lattice`` only when a query reaches the
+witness search, so an answer from a quick rule or from the order loads
+none of ``search``, ``lattice`` and ``indices``.  ``json`` is imported
+only to write a JSON record.
 
 Output contract: stdout carries either deterministic JSON (sorted keys,
 two-space indent, no volatile fields — byte-stable across runs for equal

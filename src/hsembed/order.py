@@ -24,7 +24,6 @@ is a closed-form inequality.
 from __future__ import annotations
 
 from functools import lru_cache
-from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
 from .model import (
@@ -203,6 +202,8 @@ def leqq_bfs(source: Sequence[int], target: Sequence[int]) -> Optional[MoveSeque
     unreachable.  The state space is finite: both moves preserve or grow
     the entry sum, so states with sum beyond the target's are pruned.
     """
+    from heapq import heappop, heappush  # on use: no other command runs the BFS
+
     src = DegreeTuple(source)
     dst = DegreeTuple(target)
     start = tuple(src)

@@ -59,17 +59,18 @@ ENGINE_MODULES = sorted(ORDER_MODULES + ["hsembed.engine"])
         (["decide", "--n", "2", "--source", "3,2,2", "--target", "7,2"], ENGINE_MODULES),
         (
             ["decide", "--n", "2", "--source", "3,3", "--target", "5,5"],
-            sorted(ENGINE_MODULES + ["hsembed.lattice"]),
+            sorted(ENGINE_MODULES + ["hsembed.lattice", "hsembed.search"]),
         ),
     ],
     ids=["poset", "leqq", "spectrum", "poset-symplectic", "decide", "decide-order",
          "decide-search"],
 )
 def test_each_subcommand_loads_only_its_own_modules(args, modules):
-    # only a query that reaches the witness search loads lattice, and only
-    # decide and the symplectic poset labels load the engine; compare
-    # sys.modules before and after, as above.  The DOT-only poset writes no
-    # JSON, so it does not load json either.
+    # only a query that reaches the witness search loads search and
+    # lattice, and only decide and the symplectic poset labels load the
+    # engine; compare sys.modules before and after, as above.  The DOT-only
+    # poset writes no JSON, in any mode, so it does not load json either,
+    # and no command here runs the BFS, so none loads heapq.
     script = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -79,6 +80,7 @@ def test_each_subcommand_loads_only_its_own_modules(args, modules):
         "new = set(sys.modules) - before\n"
         "print(sorted(m for m in new if m.startswith('hsembed')))\n"
         "print('json' in new)\n"
+        "print('heapq' in new)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -86,10 +88,11 @@ def test_each_subcommand_loads_only_its_own_modules(args, modules):
         [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
     )
     assert r.returncode == 0, r.stderr
-    loaded, json_loaded = r.stdout.splitlines()
+    loaded, json_loaded, heapq_loaded = r.stdout.splitlines()
     assert loaded == f"{modules}"
-    if args[0] == "poset" and "symplectic" not in args:
+    if args[0] == "poset":
         assert json_loaded == "False"
+    assert heapq_loaded == "False"
 
 
 class TestDecideCommand:

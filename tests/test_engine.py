@@ -48,8 +48,8 @@ from hsembed import (
     verify_verdict,
     witness_search,
 )
-from hsembed.engine import _assignment_blocks, _completion_node
 from hsembed.order import _column_fillings
+from hsembed.search import _assignment_blocks, _completion_node
 
 from oracles import _assignments, canonical_tuples, partitions_of_vector, ranked_split_partitions
 
@@ -346,16 +346,16 @@ class TestVectorPartitions:
         # many prefixes reach one (part, what it leaves) pair: (9,9) into 10
         # parts with at most 6 distinct reaches 73 distinct tails 1,100 times,
         # and each is solved once and read back, in the unbounded order
-        import hsembed.engine as engine
+        import hsembed.search as search
 
         solved = []
-        real = engine._tails
+        real = search._tails
 
         def spying(*args):
             solved.append(args)
             return real(*args)
 
-        monkeypatch.setattr(engine, "_tails", spying)
+        monkeypatch.setattr(search, "_tails", spying)
         got = list(enumerate_vector_partitions((9, 9), 10, 2, max_classes=6))
         assert len(solved) == len(set(solved)) == 73
         full = enumerate_vector_partitions((9, 9), 10, 2)
@@ -653,16 +653,16 @@ class TestWitnessSearch:
         # counts, dead nodes included; they exceed the sorted count memo's
         # [2891, 42, 78, 58, 118, 120, 236] because the search reads each
         # pair's root node, whose count the memo never held
-        import hsembed.engine as engine
+        import hsembed.search as search
 
         tables = []
-        real = engine._completion_node
+        real = search._completion_node
 
         def capturing(*args):
             tables.append(args[-1])
             return real(*args)
 
-        monkeypatch.setattr(engine, "_completion_node", capturing)
+        monkeypatch.setattr(search, "_completion_node", capturing)
         queries = [(query, None) for query in SEARCH_QUERIES]
         queries += [(query, Budget(call_cap=CAPPED_CALL_CAP)) for query in CAPPED_QUERIES]
         most = [4499, 51, 100, 86, 173, 246, 584]

@@ -62,5 +62,5 @@ def test_a_name_loads_only_its_own_modules():
         "['hsembed']",
         "['hsembed', 'hsembed.model', 'hsembed.order']",
         "['hsembed', 'hsembed.engine', 'hsembed.indices', 'hsembed.lattice', "
-        "'hsembed.model', 'hsembed.order']",
+        "'hsembed.model', 'hsembed.order', 'hsembed.search']",
     ]

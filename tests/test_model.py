@@ -30,9 +30,9 @@ from hsembed import (
     hom_exists,
     homology_reduce,
 )
-from hsembed.engine import SearchOutcome
 from hsembed.lattice import SnfDecomposition
 from hsembed.model import _frozen_record
+from hsembed.search import SearchOutcome
 
 from oracles import reduce_mod_line
 
