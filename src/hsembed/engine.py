@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
 
 from .model import (
     LIOUVILLE, MODES, NO, SYMPLECTIC, UNKNOWN, WEINSTEIN, YES, DegreeTuple, Verdict,
-    _frozen_record, _is_int, _JsonFields, _require_int, f_invariant, homology_reduce,
+    _is_int, _Record, _require_int, f_invariant, homology_reduce,
 )
 from .order import MoveSequence, leqq, leqq_decomposition
 
@@ -75,8 +75,7 @@ class HypothesisViolated(ValueError):
     """Raised when an operation is invoked outside its stated range."""
 
 
-@_frozen_record
-class Budget(_JsonFields):
+class Budget(_Record):
     """Resource limits for the witness search.
 
     ``q_cap`` only matters when the q-range is infinite (total source
@@ -104,8 +103,7 @@ class Budget(_JsonFields):
             raise ValueError(f"time_cap must be a finite positive number or None, got {cap!r}")
 
 
-@_frozen_record
-class Certificate(_JsonFields):
+class Certificate(_Record):
     """Replayable evidence for a NO verdict.
 
     ``data`` is self-contained: it always embeds n, source, target, and

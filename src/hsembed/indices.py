@@ -30,8 +30,8 @@ from math import factorial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .model import (
-    DegreeTuple, HomologyElement, LengthMismatch, _frozen_record, _is_int, _JsonFields,
-    _require_int, _require_ints, f_invariant, homology_reduce,
+    DegreeTuple, HomologyElement, LengthMismatch, _is_int, _Record, _require_int,
+    _require_ints, f_invariant, homology_reduce,
 )
 
 MIN_MORSE_INDEX = 0
@@ -101,8 +101,7 @@ def cz_index_anticanonical(
     return cz - 2 * sum(c * o for c, o in zip(v, a))
 
 
-@_frozen_record
-class OrbitClass:
+class OrbitClass(_Record):
     """A Morse-Bott Reeb orbit class on the boundary of a complement.
 
     ``v`` is the wrapping vector (indexed against the canonical degree
@@ -203,8 +202,7 @@ def orbit_spectrum(n: int, degrees: Sequence[int], action_cap: int) -> List[Orbi
     return out
 
 
-@_frozen_record
-class FormalCurveSpec(_JsonFields):
+class FormalCurveSpec(_Record):
     """A formal punctured rational curve in a complement.
 
     ``positive_ends`` are the asymptotic orbit classes; ``q`` is the degree

@@ -23,15 +23,14 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, LengthMismatch, _frozen_record, _require_ints
+from .model import DegreeTuple, LengthMismatch, _Record, _require_ints
 
 
 class DimensionMismatch(ValueError):
     """Raised when matrix/vector shapes are incompatible."""
 
 
-@_frozen_record
-class IntMatrix:
+class IntMatrix(_Record):
     """Immutable dense matrix of Python ints.
 
     Deliberately tiny: construction, multiplication, and matrix-vector
@@ -83,8 +82,7 @@ class IntMatrix:
         return [list(r) for r in self.data]
 
 
-@_frozen_record
-class SnfDecomposition:
+class SnfDecomposition(_Record):
     """U * A * V = D with U, V unimodular and D in Smith normal form.
 
     D is rectangular-diagonal with nonnegative diagonal entries, each

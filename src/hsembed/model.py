@@ -74,86 +74,71 @@ def _jsonify(obj: Any) -> Any:
     return obj
 
 
-class _JsonFields:
-    """Mixin for a ``_frozen_record`` class whose JSON is its fields, in
-    declaration order, each rendered by ``_jsonify``: tuples become lists
-    and nested evidence is its own ``to_json``."""
+class _Record:
+    """Base of the frozen evidence records.  A subclass's annotated fields
+    are its record fields, kept in declaration order in ``cls._fields``.
 
-    def to_json(self) -> dict:
-        return {name: _jsonify(getattr(self, name)) for name in self._fields}
-
-
-class _SparseJsonFields:
-    """``_JsonFields`` without the fields whose value is None, so an absent
-    key means the field's None default."""
-
-    def to_json(self) -> dict:
-        values = ((name, getattr(self, name)) for name in self._fields)
-        return {name: _jsonify(value) for name, value in values if value is not None}
-
-
-def _values(record: Any) -> tuple:
-    return tuple(getattr(record, name) for name in record._fields)
-
-
-def _record_eq(self: Any, other: Any) -> Any:
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return _values(self) == _values(other)
-
-
-def _record_hash(self: Any) -> int:
-    return hash(_values(self))
-
-
-def _record_repr(self: Any) -> str:
-    args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-    return f"{self.__class__.__qualname__}({args})"
-
-
-def _record_setattr(self: Any, name: str, value: Any) -> None:
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _record_delattr(self: Any, name: str) -> None:
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _frozen_record(cls: type) -> type:
-    """Make ``cls`` a frozen record of its annotated fields, kept in
-    declaration order in ``cls._fields``.
-
-    The record gets a positional-or-keyword ``__init__`` whose defaults are
-    the class-body values, and which calls ``__post_init__`` last when the
-    class defines one (that hook normalizes fields through
+    Each subclass gets a positional-or-keyword ``__init__`` whose defaults
+    are the class-body values, and which calls ``__post_init__`` last when
+    the class defines one (that hook normalizes fields through
     ``object.__setattr__``).  Records of the same class are equal when
     their field values are, hash as the tuple of those values, print as
     ``Name(field=value, ...)``, and raise AttributeError on assignment or
-    deletion.  A method the class defines itself, such as its own
-    ``__repr__``, stays.
+    deletion.  Their JSON is their fields, in declaration order, each
+    rendered by ``_jsonify``: tuples become lists and nested evidence is
+    its own ``to_json``.  A subclass overrides any of these methods as
+    usual, such as ``IntMatrix.__repr__``.
     """
-    # through the attribute: since Python 3.14 (PEP 649) the class dict
-    # need not hold the annotations
-    names = tuple(cls.__annotations__)
-    params = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n for n in names)
-    lines = [f"def __init__(self, {params}):"]
-    lines += [f"    _set(self, {n!r}, {n})" for n in names]
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    # one compiled __init__ per class: a shared ``__init__(self, *args,
-    # **kwargs)`` builds a record about half as fast
-    scope: dict = {}
-    exec("\n".join(lines), {"_set": object.__setattr__, "_cls": cls}, scope)
-    methods = {
-        "__init__": scope["__init__"], "_fields": names,
-        "__eq__": _record_eq, "__hash__": _record_hash, "__repr__": _record_repr,
-        "__setattr__": _record_setattr, "__delattr__": _record_delattr,
-    }
-    for name, value in methods.items():
-        # None: a class that defines __eq__ gets __hash__ = None implicitly
-        if cls.__dict__.get(name) is None:
-            setattr(cls, name, value)
-    return cls
+
+    def __init_subclass__(cls) -> None:
+        # through the attribute: since Python 3.14 (PEP 649) the class dict
+        # need not hold the annotations; since 3.10 a class without
+        # annotations of its own reads an empty dict, not its base's
+        names = tuple(cls.__annotations__)
+        if not names:
+            return  # a base such as _SparseRecord, with no fields of its own
+        params = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n for n in names)
+        lines = [f"def __init__(self, {params}):"]
+        lines += [f"    _set(self, {n!r}, {n})" for n in names]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        # one compiled __init__ per class: a shared ``__init__(self, *args,
+        # **kwargs)`` builds a record about half as fast
+        scope: dict = {}
+        exec("\n".join(lines), {"_set": object.__setattr__, "_cls": cls}, scope)
+        cls.__init__ = scope["__init__"]
+        cls._fields = names
+
+    def __eq__(self, other: Any) -> Any:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._fields
+        return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, n) for n in self._fields))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def to_json(self) -> Any:
+        return {n: _jsonify(getattr(self, n)) for n in self._fields}
+
+
+class _SparseRecord(_Record):
+    """A record whose JSON leaves out the fields whose value is None, so an
+    absent key means the field's None default."""
+
+    def to_json(self) -> dict:
+        values = ((n, getattr(self, n)) for n in self._fields)
+        return {n: _jsonify(value) for n, value in values if value is not None}
 
 
 class DegreeTuple(tuple):
@@ -197,8 +182,7 @@ class DegreeTuple(tuple):
         return "DegreeTuple(%s)" % ", ".join(str(e) for e in self)
 
 
-@_frozen_record
-class HomologyElement(_JsonFields):
+class HomologyElement(_Record):
     """An element of H_1 of a complement, i.e. Z^k modulo Z*(d_1,...,d_k).
 
     ``coordinates`` are always stored in the canonical reduced form whose
@@ -271,8 +255,7 @@ SYMPLECTIC = "symplectic"
 MODES = (LIOUVILLE, WEINSTEIN, SYMPLECTIC)
 
 
-@_frozen_record
-class Verdict(_SparseJsonFields):
+class Verdict(_SparseRecord):
     """Outcome of an embedding query, with its supporting evidence.
 
     Exactly one of ``witness`` (for YES) and ``certificate`` (for NO) is

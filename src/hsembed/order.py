@@ -26,9 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from .model import (
-    DegreeTuple, _frozen_record, _JsonFields, _require_int, _require_ints, _SparseJsonFields,
-)
+from .model import DegreeTuple, _Record, _require_int, _require_ints, _SparseRecord
 
 COMBINE = "combine"
 DUPLICATE = "duplicate"
@@ -42,8 +40,7 @@ class InvalidMove(ValueError):
     """Raised when a move's indices do not fit the current tuple."""
 
 
-@_frozen_record
-class Move(_SparseJsonFields):
+class Move(_SparseRecord):
     """A single rewriting move, indexed into the *current canonical* tuple.
 
     ``combine`` merges entries at positions i < j; ``duplicate`` repeats the
@@ -88,8 +85,7 @@ class Move(_SparseJsonFields):
         return tuple(sorted(state + (state[self.i],), reverse=True))
 
 
-@_frozen_record
-class MoveSequence(_JsonFields):
+class MoveSequence(_Record):
     """A replayable sequence of moves from one degree tuple to another."""
 
     source: DegreeTuple
@@ -119,8 +115,7 @@ class MoveSequence(_JsonFields):
         return len(self.moves)
 
 
-@_frozen_record
-class DecompositionWitness(_JsonFields):
+class DecompositionWitness(_Record):
     """Matrix certificate for the partial order.
 
     ``rows`` is one integer vector z_i per source entry, nonnegative and

@@ -22,14 +22,13 @@ import math
 import time
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .model import DegreeTuple, _frozen_record, _JsonFields, _require_int, _require_ints
+from .model import DegreeTuple, _Record, _require_int, _require_ints
 
 if TYPE_CHECKING:  # a witness's __post_init__ imports it
     from .lattice import IntMatrix
 
 
-@_frozen_record
-class FeasibilityWitness(_JsonFields):
+class FeasibilityWitness(_Record):
     """A solution of the formal-curve obstruction system.
 
     ``xs`` and ``ys`` are aligned: pair i is (xs[i], ys[i]).  ``matrix`` is
@@ -120,8 +119,7 @@ def check_feasibility_witness(witness: FeasibilityWitness) -> List[str]:
     return problems
 
 
-@_frozen_record
-class SearchOutcome:
+class SearchOutcome(_Record):
     """Result of a witness search over the (l, q) grid."""
 
     status: str

@@ -1,12 +1,15 @@
 """Degree tuples, homology normal forms, and verdict containers."""
 
+import importlib
 import json
+import pkgutil
 from collections.abc import Hashable
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hsembed
 from hsembed import (
     Budget,
     Certificate,
@@ -31,7 +34,7 @@ from hsembed import (
     homology_reduce,
 )
 from hsembed.lattice import SnfDecomposition
-from hsembed.model import _frozen_record
+from hsembed.model import _Record, _SparseRecord
 from hsembed.search import SearchOutcome
 
 from oracles import reduce_mod_line
@@ -163,9 +166,10 @@ class TestVerdict:
 
 # One sample of each of the 13 frozen records: its class, its positional
 # arguments, its field names in declaration order, its repr, and its
-# to_json keys (None where the record has no to_json or its JSON is not a
-# dict).  The names, reprs and keys were taken from the records when they
-# were still dataclasses, and IntMatrix's from its earlier hand-written class.
+# to_json keys (None where its JSON is not a dict).  The names, reprs and
+# keys were taken from the records when they were still dataclasses, and
+# IntMatrix's from its earlier hand-written class; SearchOutcome and
+# SnfDecomposition had no to_json then, and their keys are their fields.
 _ENDS = (OrbitClass(2, (1,), (1,), 1),)
 _SNF = (IntMatrix([[1, 1], [3, 2]]), IntMatrix([[1, 0], [0, 6]]), IntMatrix([[-1, 3], [1, -2]]))
 _XS = ((4, 0), (0, 1), (0, 1), (0, 1), (0, 1))
@@ -205,7 +209,7 @@ RECORDS = [
         SearchOutcome, ("FEASIBLE", None, {"l": 5}, 1),
         ("status", "witness", "bounds", "calls_used"),
         "SearchOutcome(status='FEASIBLE', witness=None, bounds={'l': 5}, calls_used=1)",
-        None,
+        ("status", "witness", "bounds", "calls_used"),
     ),
     (
         OrbitClass, (2, (2, 1), (1, 0), 1), ("n", "degrees", "v", "delta"),
@@ -223,7 +227,7 @@ RECORDS = [
         SnfDecomposition, _SNF, ("u", "d", "v"),
         "SnfDecomposition(u=IntMatrix([[1, 1], [3, 2]]), d=IntMatrix([[1, 0], [0, 6]]), "
         "v=IntMatrix([[-1, 3], [1, -2]]))",
-        None,
+        ("u", "d", "v"),
     ),
     (
         Move, ("combine", 0, 1), ("op", "i", "j"),
@@ -289,9 +293,21 @@ class TestRecords:
         assert Move("duplicate", 3) == Move("duplicate", 3, None)
         assert Verdict.unknown("r") == Verdict(UNKNOWN, None, None, "r", None)
 
+    def test_records_are_the_record_subclasses(self):
+        # every _Record subclass an hsembed module defines has a sample
+        # above; records that tests define, such as Pair below, are left out
+        for info in pkgutil.iter_modules(hsembed.__path__, "hsembed."):
+            importlib.import_module(info.name)
+        found, todo = set(), [_Record]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                todo.append(sub)
+                if sub.__module__.startswith("hsembed.") and sub is not _SparseRecord:
+                    found.add(sub)
+        assert found == {r[0] for r in RECORDS}
+
     def test_methods_the_class_defines_stay(self):
-        @_frozen_record
-        class Pair:
+        class Pair(_Record):
             a: int
             b: int = 0
 

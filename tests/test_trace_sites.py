@@ -15,10 +15,15 @@ from types import SimpleNamespace
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def test_every_trace_site_resolves():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_trace_site_resolves():
+    spans = _load_spans()
     missing = [
         f"{module}.{attr}"
         for module, attr, _, _ in spans.SITES
@@ -34,13 +39,6 @@ SEARCH_LAYERS = (
     "lattice.smith_normal_form",
     "lattice.hom_exists",
 )
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
 
 
 def _traced(run):
