@@ -43,9 +43,10 @@ for compatibility only.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 import time
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .model import (
     LIOUVILLE, MODES, NO, SYMPLECTIC, UNKNOWN, WEINSTEIN, YES, DegreeTuple, Verdict,
@@ -118,7 +119,11 @@ class Certificate(_Record):
 
 
 def _classify(vectors: Sequence[tuple], degrees: DegreeTuple, memo: dict) -> Tuple[tuple, tuple]:
-    """Sorted class keys of one side's vectors and their counts; ``memo`` caches keys."""
+    """Sorted class keys of one side's vectors and their counts; ``memo`` caches keys.
+
+    The target's classes stay in this order; the search walks the source's
+    groups largest first, and in this order only for a pair of partitions
+    that has a feasible assignment."""
     counts: Dict[tuple, int] = {}
     for v in vectors:
         key = memo.get(v)
@@ -126,7 +131,7 @@ def _classify(vectors: Sequence[tuple], degrees: DegreeTuple, memo: dict) -> Tup
             key = memo[v] = homology_reduce(v, degrees).coordinates
         counts[key] = counts.get(key, 0) + 1
     keys = tuple(sorted(counts))
-    return keys, tuple(counts[key] for key in keys)
+    return keys, tuple(map(counts.__getitem__, keys))
 
 
 def hom_exists(
@@ -213,20 +218,34 @@ def witness_search(
     BUDGET_EXCEEDED even while a long listing is under way.
 
     Dropping (source class, target class) pairs drops equations, so every
-    assignment that extends an infeasible prefix is infeasible.  One walk
-    in lexicographic order (``_assignment_blocks``) asks about the proper
+    assignment that extends an infeasible prefix is infeasible, and a list
+    of pairs is feasible only if each of its pairs is: the search's one
+    memo of the oracle asks a list's newest pair alone before the list.
+    Each pair of partitions is first asked only whether any assignment is
+    feasible, by one walk (``_assignment_blocks``) over the source groups
+    largest first, ties in class-key order, which asks about the proper
     prefixes it reaches and skips the assignments behind an infeasible one
-    unbuilt, counting one call for each, so calls, the cap point and
-    witnesses are those of asking every one in turn.  The counts come from
-    one table of completions per search (``_completion_node``), and a pair
-    whose root node counts no assignment is skipped unwalked.  A root node
-    depends only on the source group sizes and the target's shape, its
-    class counts sorted, so each target partition of l carries its shape's
-    index, in first-seen order, and per l a row per source group sizes
-    holds a slot per shape, filled when first read: with the node, or dead
-    for a shape with more classes than groups.  Filled eagerly, a row would
-    build nodes no walk reaches.  Prefixes and full assignments reach the
-    oracle through one memo, so none is asked twice.
+    unbuilt.  If none is feasible, the pair's assignments count at once,
+    one call each.  If one is, the pair is walked again in lexicographic
+    order of the groups and classes, counting one call for each assignment
+    asked or skipped, and its first feasible assignment is the witness;
+    this happens at most once per search.  Three facts keep calls, the cap
+    point and witnesses those of asking every assignment in lexicographic
+    turn: the number of assignments does not depend on the order of the
+    groups; a pair with no feasible assignment crosses ``call_cap`` inside
+    that same pair in either order; and the witness and its call count come
+    only from the lexicographic walk.  The counts come from one table of
+    completions per search (``_completion_node``), and a pair whose root
+    node counts no assignment is skipped unwalked.  A root node depends
+    only on the source group sizes and the target's shape, its class counts
+    sorted, so each target partition of l carries its shape's index, in
+    first-seen order, and per l a row per source group sizes, largest
+    first, holds a slot per shape, filled when first read: with the node,
+    or dead for a shape with more classes than groups.  Keyed by the sizes
+    sorted, one row and the nodes below it serve every order of the sizes.
+    Filled eagerly, a row would build nodes no walk reaches.  Prefixes and
+    full assignments reach the oracle through one memo, so none is asked
+    twice.
 
     Raises HypothesisViolated unless both degree sums are at least n + 1.
     """
@@ -275,9 +294,18 @@ def witness_search(
     x_memo: Dict[tuple, tuple] = {}  # each side's class key of every vector seen
     y_memo: Dict[tuple, tuple] = {}
 
-    feasible = functools.cache(feasibility.exists)  # the search's one way to the oracle
+    single = functools.cache(feasibility.exists)  # each class pair alone
+
+    @functools.cache  # the search's one way to the oracle
+    def feasible(pairs: tuple) -> bool:
+        # a list is feasible only if each of its pairs is: its newest pair is asked first
+        return single(pairs[-1:]) and (len(pairs) == 1 or feasibility.exists(pairs))
+
     # (group sizes left, rooms left sorted) -> (count of completions, children)
     completions: dict = {}
+    # group sizes -> what picks a tuple's entries in the order of the groups
+    # largest first, and the sizes so picked
+    largest_first: Dict[Tuple[int, ...], Tuple[Callable, Tuple[int, ...]]] = {}
     call_cap = budget.call_cap
 
     try:
@@ -288,7 +316,8 @@ def witness_search(
             # classes: its sorted class keys, their counts, and its shape, the
             # index in `shapes` of those counts sorted, in first-seen order
             y_partitions: Optional[list] = None
-            # source group sizes -> each shape's completion node, filled when first read
+            # source group sizes, largest first -> each shape's completion node,
+            # filled when first read
             rows: Dict[Tuple[int, ...], list] = {}
             for q in range(-(-l // sd), q_max + 1):  # from the least q with q * sd >= l
                 for xs in enumerate_vector_partitions(
@@ -305,25 +334,42 @@ def witness_search(
                             y_partitions.append((h_keys, h_sizes, shape))
                         shapes = list(index)
                     g_keys, g_sizes = _classify(xs, d, x_memo)
-                    row = rows.get(g_sizes)
+                    ranked = largest_first.get(g_sizes)
+                    if ranked is None:  # a stable sort keeps ties in class-key order
+                        order = sorted(range(len(g_sizes)), key=g_sizes.__getitem__, reverse=True)
+                        # an itemgetter of one index returns the item, not a 1-tuple
+                        pick = operator.itemgetter(*order) if len(order) > 1 else tuple
+                        ranked = largest_first[g_sizes] = (pick, pick(g_sizes))
+                    pick, big_sizes = ranked
+                    big_keys = pick(g_keys)
+                    row = rows.get(big_sizes)
                     if row is None:
-                        row = rows[g_sizes] = [None] * len(shapes)
+                        row = rows[big_sizes] = [None] * len(shapes)
                     for h_keys, h_sizes, shape in y_partitions:
                         node = row[shape]
                         if node is None:  # filled when first read, so no unreached node is built
                             rooms = shapes[shape]
                             node = row[shape] = (
                                 _DEAD if len(rooms) > len(g_sizes)
-                                else _completion_node(g_sizes, rooms, completions)
+                                else _completion_node(big_sizes, rooms, completions)
                             )
                         ways, children = node
                         if not ways:
                             continue
                         if deadline is not None:
                             _check_deadline(deadline)
-                        for count, pairs in _assignment_blocks(
-                            g_keys, g_sizes, h_keys, h_sizes, feasible, children
+                        blocks: Iterable = ((ways, None),)  # no assignment feasible: one block
+                        for _, pairs in _assignment_blocks(
+                            big_keys, big_sizes, h_keys, h_sizes, feasible, children
                         ):
+                            if pairs is not None and feasible(pairs):
+                                # the one pair walked in lexicographic order
+                                lex = _completion_node(g_sizes, shapes[shape], completions)
+                                blocks = _assignment_blocks(
+                                    g_keys, g_sizes, h_keys, h_sizes, feasible, lex[1]
+                                )
+                                break
+                        for count, pairs in blocks:
                             calls += count
                             if calls > call_cap:
                                 calls = call_cap + 1

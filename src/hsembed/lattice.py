@@ -21,6 +21,7 @@ certificates are byte-stable across runs.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import DegreeTuple, LengthMismatch, _Record, _require_ints
@@ -110,8 +111,14 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     U * A * V = D holds exactly and |det U| = |det V| = 1 by construction
     (swaps, unit shears, and row negations only).
     """
-    m, n = a.rows, a.cols
-    d = [list(row) for row in a.data]
+    return SnfDecomposition(*map(IntMatrix, _smith(a.data)))
+
+
+def _smith(rows: Sequence[Sequence[int]]) -> Tuple[list, list, list]:
+    """U, D and V of :func:`smith_normal_form`, as lists of rows, for a
+    matrix given as its nonempty rows of ints; no record is built."""
+    m, n = len(rows), len(rows[0])
+    d = [list(row) for row in rows]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -189,7 +196,7 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
-    return SnfDecomposition(IntMatrix(u), IntMatrix(d), IntMatrix(v))
+    return u, d, v
 
 
 def solve_diophantine(
@@ -296,7 +303,7 @@ class HomFeasibility:
             columns.append(image)
         for r, b in enumerate(zip(*columns)):
             for row, exact, modular in checks:
-                c = sum(a * e for a, e in zip(row, b))
+                c = sum(map(operator.mul, row, b))
                 m = exact if r else modular
                 if (c % m if m else c) != 0:
                     return False
@@ -311,7 +318,7 @@ class HomFeasibility:
         Row 0 of N solves [A | g' I] n = b_0, rows r >= 1 solve A n = b_r,
         and M = W^-1 N with W^-1 = V_2 U_2 from the Smith form U_2 W V_2 = I.
         """
-        a = self._source_matrix(tuple(x for x, _ in pairs))
+        a = IntMatrix(self._source_rows(tuple(x for x, _ in pairs)))
         columns = [self._image(y) for _, y in pairs]
         g, m = self._g, a.rows
         # [A | g' I]: one extra unknown per equation absorbs a multiple of g'
@@ -327,23 +334,22 @@ class HomFeasibility:
         snf = smith_normal_form(self._w)
         return snf.v.mul(snf.u).mul(IntMatrix(rows))
 
-    def _source_matrix(self, sources: tuple) -> IntMatrix:
+    def _source_rows(self, sources: tuple) -> tuple:
         k = len(self.degrees)
         for x in sources:
             if len(x) != k:
                 raise LengthMismatch(f"source vector length {len(x)} != {k}")
-        return IntMatrix([self.degrees, *sources])
+        return (self.degrees, *sources)
 
     def _factor(self, sources: tuple) -> List[Tuple[Tuple[int, ...], int, int]]:
-        snf = smith_normal_form(self._source_matrix(sources))
-        diag = snf.diagonal()
+        u, d, _ = _smith(self._source_rows(sources))
         checks = []
-        for i, row in enumerate(snf.u.data):
-            exact = diag[i] if i < len(diag) else 0
+        for i, row in enumerate(u):
+            exact = d[i][i] if i < len(d[0]) else 0
             # b_0 = 0, so the first column of U never contributes; a unit
             # D_ii divides everything and needs no check.
             if exact != 1 and any(row[1:]):
-                checks.append((row[1:], exact, math.gcd(exact, self._g)))
+                checks.append((tuple(row[1:]), exact, math.gcd(exact, self._g)))
         return checks
 
     def _image(self, y: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -3,8 +3,11 @@
 * ``enumerate_vector_partitions`` lists the multisets of nonzero vectors
   with a given sum, the source and target partitions of each grid cell;
 * ``_completion_node`` counts the ways to send source-residue groups into
-  target-residue classes, and ``_assignment_blocks`` walks them, asking the
-  oracle about each prefix it reaches;
+  target-residue classes, and ``_assignment_blocks`` walks them in the
+  order the groups are given, asking the oracle about each prefix it
+  reaches: the search gives the source groups largest first, and in
+  class-key order only to walk again the one pair of partitions that holds
+  a feasible assignment;
 * ``FeasibilityWitness`` is what a FEASIBLE search returns and
   ``check_feasibility_witness`` checks it from scratch; ``SearchOutcome``
   is what every search returns.

@@ -73,6 +73,24 @@ BUDGETED_QUERIES = (
     ((2, (2, 2), (4, 3)), None),
 )
 
+# (n, source, target, calls) of every FEASIBLE search with more than one
+# call among the tuples with sum <= 11 and at most 3 components, outside the
+# window (sum(target) >= 2 * sum(source) - n - 1)
+REWALKED_QUERIES = (
+    (2, (4, 2), (9,), 24), (2, (4, 2), (8, 1), 41), (2, (4, 2), (11,), 77),
+    (2, (4, 2), (9, 1), 89), (3, (4, 2), (9,), 91), (3, (4, 2), (7, 1), 93),
+    (2, (4, 2), (10, 1), 172), (2, (4, 2), (8, 1, 1), 179), (3, (4, 2), (8, 1), 233),
+    (2, (4, 2), (9, 2), 266), (2, (4, 2), (8, 3), 297), (3, (4, 2), (11,), 320),
+    (3, (3, 3), (10,), 324), (3, (4, 2), (7, 2), 349), (2, (4, 2), (9, 1, 1), 377),
+    (3, (4, 2), (9, 1), 491), (3, (4, 2), (7, 1, 1), 525), (3, (3, 3), (11,), 534),
+    (2, (4, 2), (8, 2, 1), 535), (3, (3, 3), (9, 1), 765), (3, (4, 2), (10, 1), 871),
+    (3, (4, 2), (7, 3), 977), (3, (4, 2), (8, 1, 1), 1173), (3, (3, 3), (10, 1), 1382),
+    (3, (3, 2), (9, 1), 1465), (3, (4, 2), (9, 2), 1505), (3, (4, 2), (7, 2, 1), 1729),
+    (3, (4, 2), (8, 3), 1997), (3, (3, 2), (6, 1), 2185), (3, (4, 2), (9, 1, 1), 2227),
+    (3, (4, 2), (7, 4), 2277), (3, (3, 2), (10, 1), 2348), (3, (3, 3), (9, 2), 2369),
+    (3, (3, 3), (9, 1, 1), 3361), (3, (4, 2), (8, 2, 1), 3553), (3, (4, 2), (7, 3, 1), 4329),
+)
+
 # the 30 tuples with sum <= 7 and at most 3 components
 SMALL_TUPLES = [d for d in canonical_tuples(7) if len(d) <= 3]
 
@@ -606,9 +624,64 @@ class TestWitnessSearch:
         exact = witness_search(3, (3, 2), (6, 1), Budget(call_cap=2185))
         assert exact.witness.to_json() == full.witness.to_json()
 
+    @pytest.mark.parametrize("n, src, dst, calls", REWALKED_QUERIES)
+    def test_cap_point_around_each_witness(self, n, src, dst, calls):
+        # a FEASIBLE search counts its calls in the lexicographic walk of the
+        # one pair that holds a feasible assignment, after every pair before
+        # it counted all its assignments at once: one cap below the count
+        # stops the search at that very call, and a cap at it finds the
+        # same witness
+        full = witness_search(n, src, dst)
+        assert (full.status, full.calls_used) == ("FEASIBLE", calls)
+        short = witness_search(n, src, dst, Budget(call_cap=calls - 1))
+        assert (short.status, short.calls_used) == ("BUDGET_EXCEEDED", calls)
+        exact = witness_search(n, src, dst, Budget(call_cap=calls))
+        assert exact.witness.to_json() == full.witness.to_json()
+
+    def test_only_the_witness_pair_is_walked_in_lexicographic_order(self, monkeypatch):
+        # every pair of partitions is walked with the source groups largest
+        # first, ties in class-key order, except that a FEASIBLE search walks
+        # the pair of its witness once more, last, in class-key order; on
+        # each query the two orders differ for some pair walked
+        import hsembed.search as search
+
+        walks = []
+        real = search._assignment_blocks
+
+        def spy(g_keys, g_sizes, h_keys, *rest):
+            walks.append((tuple(g_keys), tuple(g_sizes), tuple(h_keys)))
+            return real(g_keys, g_sizes, h_keys, *rest)
+
+        def largest_first(walk):
+            ranked = [(-size, key) for key, size in zip(walk[0], walk[1])]
+            return ranked == sorted(ranked)
+
+        def pair(walk):
+            return sorted(zip(walk[0], walk[1])), walk[2]
+
+        monkeypatch.setattr(search, "_assignment_blocks", spy)
+        queries = [
+            ((2, (4, 2), (9,)), "FEASIBLE"),
+            ((3, (4, 2), (7, 3, 1)), "FEASIBLE"),
+            ((2, (3, 3), (7, 7)), "INFEASIBLE"),
+            ((2, (3, 1), (2, 2, 2)), "INFEASIBLE"),
+        ]
+        for query, status in queries:
+            walks.clear()
+            assert witness_search(*query).status == status
+            assert any(pair(walk)[0] != list(zip(walk[0], walk[1])) for walk in walks), query
+            keyed = [i for i, walk in enumerate(walks) if not largest_first(walk)]
+            if status == "FEASIBLE":
+                lex = walks[-1]
+                assert keyed == [len(walks) - 1], query
+                assert list(lex[0]) == sorted(lex[0]) and pair(lex) == pair(walks[-2]), query
+            else:
+                assert keyed == [], query
+
     def test_infeasible_prefix_skips_its_extensions(self, monkeypatch):
         # the search asks about 13,238 full assignments, one by one, without
-        # the prefix skip; with it, a few hundred lists and prefixes
+        # the prefix skip; with it and the walk largest group first, 139
+        # lists: 77 pairs alone and 62 prefixes of two
         import hsembed.lattice as lattice
 
         asked = []
@@ -621,7 +694,7 @@ class TestWitnessSearch:
         monkeypatch.setattr(lattice.HomFeasibility, "exists", counting)
         out = witness_search(2, (3, 3), (7, 7))
         assert (out.status, out.calls_used) == ("INFEASIBLE", 13238)
-        assert len(asked) < 1000
+        assert len(asked) <= 150
 
     def test_each_class_pair_list_reaches_the_oracle_once(self, monkeypatch):
         # full assignments and proper prefixes share one memo per search, so
@@ -650,9 +723,10 @@ class TestWitnessSearch:
         # rooms left sorted; keyed by the rooms in their order a count memo
         # held 8,617 counts on (7,7), and [174, 217, 206, 267, 564, 1149] on
         # the other queries.  The bounds are the table's measured node
-        # counts, dead nodes included; they exceed the sorted count memo's
-        # [2891, 42, 78, 58, 118, 120, 236] because the search reads each
-        # pair's root node, whose count the memo never held
+        # counts, dead nodes included, with the source groups largest
+        # first, so one node serves every order of the group sizes; with
+        # the groups in class-key order the table held [4499, 51, 100, 86,
+        # 173, 246, 584]
         import hsembed.search as search
 
         tables = []
@@ -665,7 +739,7 @@ class TestWitnessSearch:
         monkeypatch.setattr(search, "_completion_node", capturing)
         queries = [(query, None) for query in SEARCH_QUERIES]
         queries += [(query, Budget(call_cap=CAPPED_CALL_CAP)) for query in CAPPED_QUERIES]
-        most = [4499, 51, 100, 86, 173, 246, 584]
+        most = [727, 15, 24, 27, 57, 139, 372]
         for ((n, src, dst), budget), bound in zip(queries, most, strict=True):
             tables.clear()
             witness_search(n, src, dst, budget)
